@@ -153,6 +153,14 @@ def expansion_str(table: dict, mode: str, order: int) -> tuple[str, str]:
 
 
 CONFIG_KEYS = {"max_weight", "qdeg", "bdeg", "fdeg", "m", "n", "threads", "cache_limit"}
+VERIFY_SIZES = ("max_weight", "qdeg", "bdeg", "fdeg", "m", "n")
+
+
+def check_size(key: str, val: int, label: str) -> None:
+    """Verify sizes and config values are positive; m and bdeg may also be 0."""
+    least = 0 if key in ("m", "bdeg") else 1
+    if val < least:
+        raise UsageError(f"{label} must be at least {least}")
 
 
 def load_config(path: str) -> dict:
@@ -175,8 +183,7 @@ def load_config(path: str) -> dict:
             vals[key] = int(val)
         except ValueError:
             raise UsageError(f"config value for {key} must be an integer")
-        if vals[key] < 0 or (vals[key] == 0 and key not in ("m", "bdeg")):
-            raise UsageError(f"config value for {key} must be positive")
+        check_size(key, vals[key], f"config value for {key}")
     return vals
 
 
@@ -241,6 +248,11 @@ def _fraction_output(fr: LaurentFraction, args, params: dict):
 
 
 def cmd_compute(args) -> int:
+    for name in ("qdeg", "m", "bdeg", "fdeg", "order"):
+        if (getattr(args, name) or 0) < 0:
+            raise UsageError(f"--{name} must be at least 0")
+    if args.two_var and args.expand:
+        raise UsageError("--two-var values have two variables and do not expand")
     params: dict = {}
     if args.kind == "w1":
         (mu,) = _need(args, "mu")
@@ -315,20 +327,18 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = {"max_weight": args.max_weight, "qdeg": args.qdeg, "bdeg": args.bdeg,
-              "fdeg": args.fdeg, "m": args.m, "n": args.n}
     cfg = load_config(args.config) if args.config else {}
+    for key in VERIFY_SIZES + ("threads",):
+        val = getattr(args, key)
+        if val is not None:
+            check_size(key, val, "--" + key.replace("_", "-"))
+            cfg[key] = val
     if "cache_limit" in cfg:
         set_cache_limit(cfg["cache_limit"])
-    for key in ("max_weight", "qdeg", "bdeg", "fdeg", "m", "n"):
-        if params[key] is None and key in cfg:
-            params[key] = cfg[key]
-    threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-    if threads < 1:
-        raise UsageError("--threads must be at least 1")
+    params = {key: cfg.get(key) for key in VERIFY_SIZES}
     checks = build_suite(args.suite, params, args.inject_failure)
     t0 = perf_counter()
-    results = run_checks(checks, threads)
+    results = run_checks(checks, cfg.get("threads", 1))
     elapsed = perf_counter() - t0
     print(render_human(args.suite, results, elapsed))
     if args.json:

@@ -22,39 +22,34 @@ from .partitions import all_partitions, conjugate, kappa, normalize, partitions_
 from .prodred import (bracket, diag_block_ratio, one_minus_qq, pair_multiset,
                       product_over, sinh_factor)
 from .series import (LaurentFraction, MultiQSeries, QSeries, expand_in_q,
-                     expand_in_q_multi, memo_put)
+                     expand_in_q_multi, memo)
 from .vertex import w1, w2, w3
 
 _K00_CACHE: dict = {}
 _KB_CACHE: dict = {}
 
 
+@memo(_KB_CACHE)
 def k_brute(mu1, mu2, trunc: int) -> QSeries:
     """Sum over the middle partition, graded by its box count."""
     mu1 = normalize(mu1)
     mu2 = normalize(mu2)
-    key = (mu1, mu2, trunc)
-    hit = _KB_CACHE.get(key)
-    if hit is not None:
-        return hit
     coeffs = []
     for d in range(trunc + 1):
         acc = LaurentFraction.zero()
         for nu in partitions_of(d):
             acc = acc + w2(mu1, nu) * w2(nu, mu2)
         coeffs.append(acc)
-    return memo_put(_KB_CACHE, key, QSeries(trunc, coeffs))
+    return QSeries(trunc, coeffs)
 
 
+@memo(_K00_CACHE)
 def k00_closed(trunc: int) -> QSeries:
     """Empty-pair series: exp of sum_n Q^n / (n (t^n - t^-n)^2)."""
-    hit = _K00_CACHE.get(trunc)
-    if hit is not None:
-        return hit
     arg = [LaurentFraction.zero()]
     for n in range(1, trunc + 1):
         arg.append((bracket(n) ** -2).scale(Fraction(1, n)))
-    return memo_put(_K00_CACHE, trunc, QSeries(trunc, arg).exp())
+    return QSeries(trunc, arg).exp()
 
 
 def k_exp_closed(mu1, mu2, trunc: int) -> QSeries:

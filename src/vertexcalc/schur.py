@@ -15,7 +15,7 @@ from collections import Counter
 from .partitions import (all_partitions, conjugate, contains, hooks, kappa,
                          normalize, subpartitions, weight)
 from .prodred import bracket
-from .series import (LaurentFraction, LaurentPoly, MultiPoly, memo_put)
+from .series import LaurentFraction, LaurentPoly, MultiPoly, memo
 
 _LR_CACHE: dict = {}
 _SSYT_CACHE: dict = {}
@@ -25,6 +25,7 @@ _SAT_CACHE: dict = {}
 _SKAT_CACHE: dict = {}
 
 
+@memo(_LR_CACHE)
 def lr_coeffs(lam, eta) -> dict:
     """Expansion of the skew Schur function of lam/eta into straight shapes.
 
@@ -32,14 +33,10 @@ def lr_coeffs(lam, eta) -> dict:
     """
     lam = normalize(lam)
     eta = normalize(eta)
-    key = (lam, eta)
-    hit = _LR_CACHE.get(key)
-    if hit is not None:
-        return hit
     if not contains(eta, lam):
-        return memo_put(_LR_CACHE, key, {})
+        return {}
     if lam == eta:
-        return memo_put(_LR_CACHE, key, {(): 1})
+        return {(): 1}
     pad = eta + (0,) * (len(lam) - len(eta))
     cells = []
     for r, top in enumerate(lam):
@@ -72,19 +69,16 @@ def lr_coeffs(lam, eta) -> dict:
                 cnt[v] -= 1
 
     place(0)
-    return memo_put(_LR_CACHE, key, dict(out))
+    return dict(out)
 
 
+@memo(_SSYT_CACHE)
 def _ssyt_weights(lam, eta, nletters: int) -> dict:
     """Content vectors of the semistandard fillings of lam/eta, with counts."""
     lam = normalize(lam)
     eta = normalize(eta)
-    key = (lam, eta, nletters)
-    hit = _SSYT_CACHE.get(key)
-    if hit is not None:
-        return hit
     if not contains(eta, lam):
-        return memo_put(_SSYT_CACHE, key, {})
+        return {}
     pad = eta + (0,) * (len(lam) - len(eta))
     cells = []
     for r, top in enumerate(lam):
@@ -111,7 +105,7 @@ def _ssyt_weights(lam, eta, nletters: int) -> dict:
             wvec[v] -= 1
 
     place(0)
-    return memo_put(_SSYT_CACHE, key, dict(out))
+    return dict(out)
 
 
 def skew_schur_poly(lam, eta, nvars: int, trunc: int, first_axis: int, nletters: int) -> MultiPoly:
@@ -141,6 +135,7 @@ def principal_schur_finite(mu, n: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
+@memo(_PS_CACHE)
 def principal_schur(mu) -> LaurentFraction:
     """Closed form of the stable principal specialization.
 
@@ -148,28 +143,23 @@ def principal_schur(mu) -> LaurentFraction:
     series in t, lowest term t^|mu| times higher order.
     """
     mu = normalize(mu)
-    hit = _PS_CACHE.get(mu)
-    if hit is not None:
-        return hit
     out = LaurentFraction.monomial((-1) ** weight(mu), (-kappa(mu) // 2,))
     for h in hooks(mu):
         out = out * bracket(h) ** -1
-    return memo_put(_PS_CACHE, mu, out)
+    return out
 
 
+@memo(_PSK_CACHE)
 def principal_skew(lam, eta) -> LaurentFraction:
     lam = normalize(lam)
     eta = normalize(eta)
-    key = (lam, eta)
-    hit = _PSK_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = LaurentFraction.zero()
     for nu, c in lr_coeffs(lam, eta).items():
         out = out + principal_schur(nu).scale(c)
-    return memo_put(_PSK_CACHE, key, out)
+    return out
 
 
+@memo(_SAT_CACHE)
 def schur_at_mu_rho(nu, mu) -> LaurentFraction:
     """Schur function of nu at the alphabet q^(mu_i - i + 1/2), i = 1, 2, ...
 
@@ -179,10 +169,6 @@ def schur_at_mu_rho(nu, mu) -> LaurentFraction:
     """
     nu = normalize(nu)
     mu = normalize(mu)
-    key = (nu, mu)
-    hit = _SAT_CACHE.get(key)
-    if hit is not None:
-        return hit
     acc = LaurentFraction.zero()
     for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu):
         if not (contains(eta, mu) and contains(eta, nu)):
@@ -191,23 +177,19 @@ def schur_at_mu_rho(nu, mu) -> LaurentFraction:
         if not term.is_zero():
             acc = acc + term
     out = acc * principal_schur(mu).inv()
-    out = out.scale((-1) ** weight(nu)).shift((kappa(nu),))
-    return memo_put(_SAT_CACHE, key, out)
+    return out.scale((-1) ** weight(nu)).shift((kappa(nu),))
 
 
+@memo(_SKAT_CACHE)
 def skew_at_mu_rho(lam, eta, mu) -> LaurentFraction:
     """Skew analogue of schur_at_mu_rho via the straight-shape expansion."""
     lam = normalize(lam)
     eta = normalize(eta)
     mu = normalize(mu)
-    key = (lam, eta, mu)
-    hit = _SKAT_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = LaurentFraction.zero()
     for nu, c in lr_coeffs(lam, eta).items():
         out = out + schur_at_mu_rho(nu, mu).scale(c)
-    return memo_put(_SKAT_CACHE, key, out)
+    return out
 
 
 def verify_principal_against_finite(mu, deg: int) -> bool:

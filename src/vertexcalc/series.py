@@ -21,6 +21,7 @@ division pass picks up the cancellations that occur in practice.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -34,10 +35,24 @@ def set_cache_limit(n: int) -> None:
     CACHE_LIMIT = n
 
 
-def memo_put(cache: dict, key, value):
-    if len(cache) < CACHE_LIMIT:
-        cache[key] = value
-    return value
+def memo(table: dict):
+    """Cache a function's results in `table`, keyed on its positional arguments.
+
+    A hit returns the stored object itself.  Once the table holds
+    CACHE_LIMIT entries, new results are still computed but not stored.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(*args):
+            hit = table.get(args)
+            if hit is not None:
+                return hit
+            out = fn(*args)
+            if len(table) < CACHE_LIMIT:
+                table[args] = out
+            return out
+        return cached
+    return decorate
 
 
 def trim(key) -> tuple[int, ...]:
@@ -372,14 +387,15 @@ def _den_expand(den: Mapping) -> LaurentPoly:
     """Expand a factor multiset into a single polynomial (cached)."""
     if not den:
         return LaurentPoly.one()
-    key = frozenset(den.items())
-    hit = _EXPAND_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _factor_product(frozenset(den.items()))
+
+
+@memo(_EXPAND_CACHE)
+def _factor_product(factors: frozenset) -> LaurentPoly:
     out = LaurentPoly.one()
-    for f, e in den.items():
+    for f, e in factors:
         out = out * f ** e
-    return memo_put(_EXPAND_CACHE, key, out)
+    return out
 
 
 # Numerators at or above this size skip the opportunistic cancellation pass.
@@ -729,7 +745,7 @@ class QSeries:
         """Multiply by Q**k, dropping overflow past the truncation order."""
         if k < 0:
             raise ValueError("negative Q shift")
-        return QSeries(self.trunc, [Fraction(0)] * min(k, self.trunc + 1) + self.c[: self.trunc + 1 - k])
+        return QSeries(self.trunc, [Fraction(0)] * min(k, self.trunc + 1) + self.c[: max(self.trunc + 1 - k, 0)])
 
     def exp(self) -> "QSeries":
         if not _is_zero_coeff(self.c[0]):

@@ -24,6 +24,11 @@ def pstr(mu) -> str:
     return "(" + ",".join(str(p) for p in normalize(mu)) + ")"
 
 
+def _size(params: dict, key: str, default: int) -> int:
+    val = params.get(key)
+    return default if val is None else val
+
+
 def _pairs(total: int):
     return nekrasov.pair_sweep(total)
 
@@ -49,7 +54,7 @@ def euler_counts(n: int) -> list[int]:
 
 
 def suite_partitions(params: dict) -> list[Check]:
-    wmax = params.get("max_weight") or 10
+    wmax = _size(params, "max_weight", 10)
     checks = []
 
     def invariants(w):
@@ -81,7 +86,7 @@ def suite_partitions(params: dict) -> list[Check]:
 
 
 def suite_prodred(params: dict) -> list[Check]:
-    wmax = params.get("max_weight") or 8
+    wmax = _size(params, "max_weight", 8)
     checks = []
 
     def normal_form(w):
@@ -122,8 +127,8 @@ def suite_prodred(params: dict) -> list[Check]:
 
 
 def suite_schur(params: dict) -> list[Check]:
-    wmax = params.get("max_weight") or 6
-    deg = params.get("qdeg") or 8
+    wmax = _size(params, "max_weight", 6)
+    deg = _size(params, "qdeg", 8)
     checks = []
     for w in range(wmax + 1):
         checks.append(Check("principal-vs-tableaux", f"weight={w} deg={deg}",
@@ -181,7 +186,7 @@ def suite_schur(params: dict) -> list[Check]:
 
 
 def suite_f(params: dict) -> list[Check]:
-    wmax = params.get("max_weight") or 8
+    wmax = _size(params, "max_weight", 8)
     checks = []
 
     def single_forms(w):
@@ -227,7 +232,7 @@ def suite_f(params: dict) -> list[Check]:
 
 
 def suite_vertex(params: dict) -> list[Check]:
-    wmax = params.get("max_weight") or 8
+    wmax = _size(params, "max_weight", 8)
     checks = []
     for w in range(min(wmax, 8) + 1):
         checks.append(Check("one-leg-routes", f"weight={w}",
@@ -298,8 +303,8 @@ def suite_vertex(params: dict) -> list[Check]:
 
 
 def suite_k(params: dict) -> list[Check]:
-    wmax = params.get("max_weight") or 5
-    qdeg = params.get("qdeg") or 5
+    wmax = _size(params, "max_weight", 5)
+    qdeg = _size(params, "qdeg", 5)
     checks = [Check("empty-pair-series", f"qdeg={qdeg}",
                     lambda: ksum.k_brute((), (), qdeg) == ksum.k00_closed(qdeg))]
     for mu1, mu2 in _pairs(min(wmax, 4)):
@@ -318,8 +323,8 @@ def suite_k(params: dict) -> list[Check]:
 
 
 def suite_kgen(params: dict) -> list[Check]:
-    wmax = params.get("max_weight") or 3
-    qdeg = params.get("qdeg") or 4
+    wmax = _size(params, "max_weight", 3)
+    qdeg = _size(params, "qdeg", 4)
     checks = []
     for mu1 in all_partitions(wmax):
         checks.append(Check("chain-pair-reduction", f"mu1={pstr(mu1)} legs<={wmax} qdeg={qdeg}",
@@ -341,8 +346,8 @@ def suite_kgen(params: dict) -> list[Check]:
 
 
 def suite_sun(params: dict) -> list[Check]:
-    qdeg = params.get("qdeg") or 3
-    wmax = min(params.get("max_weight") or 2, 3)
+    qdeg = _size(params, "qdeg", 3)
+    wmax = min(_size(params, "max_weight", 2), 3)
     checks = []
     dims2 = (qdeg,)
     for mu1, mu2 in _pairs(2):
@@ -360,8 +365,8 @@ def suite_sun(params: dict) -> list[Check]:
 
 
 def suite_nekrasov_su2(params: dict) -> list[Check]:
-    bdeg = params.get("bdeg") if params.get("bdeg") is not None else 2
-    fdeg = params.get("fdeg") or 4
+    bdeg = _size(params, "bdeg", 2)
+    fdeg = _size(params, "fdeg", 4)
     ms = [params["m"]] if params.get("m") is not None else [0, 1, 2]
     checks = []
     for m in ms:
@@ -373,9 +378,9 @@ def suite_nekrasov_su2(params: dict) -> list[Check]:
 
 
 def suite_nekrasov_sun(params: dict) -> list[Check]:
-    n = params.get("n") or 3
-    bdeg = params.get("bdeg") if params.get("bdeg") is not None else 1
-    qdeg = params.get("qdeg") or 2
+    n = _size(params, "n", 3)
+    bdeg = _size(params, "bdeg", 1)
+    qdeg = _size(params, "qdeg", 2)
     dims = (qdeg,) * (n - 1)
     checks = []
     for mus in nekrasov.tuple_sweep(n, bdeg):
@@ -409,8 +414,7 @@ SUITES = {
     "nekrasov-sun": suite_nekrasov_sun,
 }
 
-SUITE_ORDER = ["partitions", "prodred", "schur", "f", "vertex", "k",
-               "kgen", "sun", "nekrasov-su2", "nekrasov-sun"]
+SUITE_ORDER = list(SUITES)
 
 
 def injected_failure_check() -> Check:

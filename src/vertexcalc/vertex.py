@@ -13,23 +13,21 @@ from .partitions import conjugate, hooks, kappa, normalize, subpartitions, conta
 from .prodred import bracket
 from .schur import (lr_coeffs, principal_schur, principal_skew, schur_at_mu_rho,
                     skew_at_mu_rho)
-from .series import LaurentFraction, memo_put
+from .series import LaurentFraction, memo
 
 _W1_CACHE: dict = {}
 _W2_CACHE: dict = {}
 _W3_CACHE: dict = {}
 
 
+@memo(_W1_CACHE)
 def w1(mu) -> LaurentFraction:
     """One-leg amplitude t^(kappa/2) / prod_hooks (t^h - t^-h)."""
     mu = normalize(mu)
-    hit = _W1_CACHE.get(mu)
-    if hit is not None:
-        return hit
     out = LaurentFraction.monomial(1, (kappa(mu) // 2,))
     for h in hooks(mu):
         out = out * bracket(h) ** -1
-    return memo_put(_W1_CACHE, mu, out)
+    return out
 
 
 def w1_bracket(mu) -> LaurentFraction:
@@ -46,15 +44,12 @@ def w1_bracket(mu) -> LaurentFraction:
     return out
 
 
+@memo(_W2_CACHE)
 def w2(mu, nu) -> LaurentFraction:
     """Two-leg amplitude: w1(mu) times the specialization of nu at mu's background."""
     mu = normalize(mu)
     nu = normalize(nu)
-    key = (mu, nu)
-    hit = _W2_CACHE.get(key)
-    if hit is not None:
-        return hit
-    return memo_put(_W2_CACHE, key, w1(mu) * schur_at_mu_rho(nu, mu))
+    return w1(mu) * schur_at_mu_rho(nu, mu)
 
 
 def w2_skew(mu, nu) -> LaurentFraction:
@@ -70,15 +65,12 @@ def w2_skew(mu, nu) -> LaurentFraction:
     return acc.scale(sign).shift((kappa(mu) + kappa(nu),))
 
 
+@memo(_W3_CACHE)
 def w3(mu1, mu2, mu3) -> LaurentFraction:
     """Three-leg amplitude, skew route (the fast production path)."""
     mu1 = normalize(mu1)
     mu2 = normalize(mu2)
     mu3 = normalize(mu3)
-    key = (mu1, mu2, mu3)
-    hit = _W3_CACHE.get(key)
-    if hit is not None:
-        return hit
     m2t = conjugate(mu2)
     m3t = conjugate(mu3)
     acc = LaurentFraction.zero()
@@ -89,8 +81,7 @@ def w3(mu1, mu2, mu3) -> LaurentFraction:
         if not term.is_zero():
             acc = acc + term
     out = acc * principal_schur(m2t)
-    out = out.scale((-1) ** weight(mu2)).shift((kappa(mu3),))
-    return memo_put(_W3_CACHE, key, out)
+    return out.scale((-1) ** weight(mu2)).shift((kappa(mu3),))
 
 
 def w3_def(mu1, mu2, mu3) -> LaurentFraction:

@@ -133,3 +133,42 @@ def test_config_unknown_key_exits_two(capsys, tmp_path):
 def test_compute_missing_argument_exits_two(capsys):
     code, _, err = run(capsys, "compute", "w1")
     assert code == 2
+
+
+def test_verify_large_mass_shift(capsys):
+    code, out, _ = run(capsys, "verify", "nekrasov-su2", "--m", "2", "--bdeg", "2",
+                       "--fdeg", "2")
+    assert code == 0
+    assert "2 passed, 0 failed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("k", "--qdeg", "0"),
+    ("vertex", "--max-weight", "-1"),
+    ("partitions", "--max-weight", "0"),
+    ("nekrasov-su2", "--fdeg", "0"),
+    ("nekrasov-su2", "--m", "-1"),
+    ("nekrasov-su2", "--bdeg", "-1"),
+    ("nekrasov-sun", "--n", "0"),
+    ("partitions", "--threads", "0"),
+])
+def test_verify_bad_size_exits_two(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("k", "--mu1", "0", "--mu2", "0", "--qdeg", "-1"),
+    ("z", "--bdeg", "-1"),
+    ("z", "--m", "-1"),
+    ("z", "--fdeg", "-1"),
+    ("w1", "--mu", "1", "--expand", "at_zero", "--order", "-3"),
+    ("f", "--mu1", "1", "--mu2", "1", "--two-var", "--expand", "at_zero"),
+])
+def test_compute_bad_input_exits_two(capsys, argv):
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""

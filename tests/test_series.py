@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vertexcalc import series
+from vertexcalc.partitions import normalize
 from vertexcalc.series import (LaurentFraction, LaurentPoly, MultiPoly,
                                MultiQSeries, QSeries, expand_in_q,
-                               expand_in_q_multi, fraction_json,
+                               expand_in_q_multi, fraction_json, memo,
                                multiqseries_json, poly_terms_json,
-                               qseries_json)
+                               qseries_json, set_cache_limit)
 
 
 def mono(c, key):
@@ -89,6 +91,35 @@ def test_qseries_arithmetic_and_exp():
     with pytest.raises(ValueError):
         QSeries(2).shift_q(-1)
     assert QSeries(3, [1, 2]).shift_q(2).c == [0, 0, 1, 2]
+    assert QSeries(2, [1, 2]).shift_q(5).c == [0, 0, 0]
+
+
+def test_memo_table_policy():
+    table: dict = {}
+    runs = []
+
+    @memo(table)
+    def size_poly(mu):
+        mu = normalize(mu)
+        runs.append(mu)
+        return LaurentPoly.term(1, (sum(mu),))
+
+    first = size_poly((2, 1))
+    assert size_poly((2, 1)) is first
+    assert runs == [(2, 1)] and list(table) == [((2, 1),)]
+
+    limit = series.CACHE_LIMIT
+    set_cache_limit(len(table))
+    try:
+        assert size_poly((3,)) == mono(1, (3,))
+        size_poly((3,))
+        assert runs == [(2, 1), (3,), (3,)] and len(table) == 1
+    finally:
+        set_cache_limit(limit)
+
+    with pytest.raises(ValueError):
+        size_poly((1, 2))
+    assert len(table) == 1
 
 
 def test_qseries_trunc_mismatch():
