@@ -108,7 +108,9 @@ def fraction_str(fr: LaurentFraction) -> tuple[str, str]:
 
 def qseries_str(qs) -> str:
     pieces = []
-    for d, c in enumerate(qs.c):
+    trunc = qs.dims[0]
+    for d in range(trunc + 1):
+        c = qs.get((d,))
         if isinstance(c, LaurentFraction):
             if not c.num.d:
                 continue
@@ -123,7 +125,7 @@ def qseries_str(qs) -> str:
             var = "Q" if d == 1 else f"Q^{d}"
             pieces.append(f"({cs})*{var}")
     body = " + ".join(pieces) if pieces else "0"
-    return f"{body} + O(Q^{qs.trunc + 1})"
+    return f"{body} + O(Q^{trunc + 1})"
 
 
 def expansion_str(table: dict, mode: str, order: int) -> tuple[str, str]:

@@ -30,7 +30,7 @@ _KB_CACHE: dict = {}
 
 
 @memo(_KB_CACHE)
-def k_brute(mu1, mu2, trunc: int) -> QSeries:
+def k_brute(mu1, mu2, trunc: int) -> MultiQSeries:
     """Sum over the middle partition, graded by its box count."""
     mu1 = normalize(mu1)
     mu2 = normalize(mu2)
@@ -44,7 +44,7 @@ def k_brute(mu1, mu2, trunc: int) -> QSeries:
 
 
 @memo(_K00_CACHE)
-def k00_closed(trunc: int) -> QSeries:
+def k00_closed(trunc: int) -> MultiQSeries:
     """Empty-pair series: exp of sum_n Q^n / (n (t^n - t^-n)^2)."""
     arg = [LaurentFraction.zero()]
     for n in range(1, trunc + 1):
@@ -52,7 +52,7 @@ def k00_closed(trunc: int) -> QSeries:
     return QSeries(trunc, arg).exp()
 
 
-def k_exp_closed(mu1, mu2, trunc: int) -> QSeries:
+def k_exp_closed(mu1, mu2, trunc: int) -> MultiQSeries:
     """Closed exp route: k00 * w1 * w1 * exp(sum Q^n f_pair(q^n) / n)."""
     fp = f_pair(mu1, mu2)
     arg = [LaurentFraction.zero()]
@@ -62,7 +62,7 @@ def k_exp_closed(mu1, mu2, trunc: int) -> QSeries:
     return out.scale(w1(mu1) * w1(mu2))
 
 
-def k_product_closed(mu1, mu2, trunc: int) -> QSeries:
+def k_product_closed(mu1, mu2, trunc: int) -> MultiQSeries:
     """Closed product route through the coefficient table of f_pair."""
     exps = {k: -v for k, v in c_coeffs(mu1, mu2).items()}
     fr = product_over(exps, one_minus_qq) * w1(mu1) * w1(mu2)
@@ -173,7 +173,7 @@ def verify_ktilde_pair_reduction(mu1, mu2, trunc: int) -> bool:
     """Two-link chains collapse to the transposed pair series."""
     kt = ktilde_brute([mu1, mu2], (trunc,))
     mono = LaurentFraction.monomial(1, (kappa(normalize(mu2)),))
-    return kt.to_qseries() == k_brute(mu1, conjugate(mu2), trunc).scale(mono)
+    return kt == k_brute(mu1, conjugate(mu2), trunc).scale(mono)
 
 
 def _ray_key(naxes: int, k: int, l: int, val: int) -> tuple[int, ...]:
@@ -192,7 +192,7 @@ def k00_chain(dims, k: int, l: int) -> MultiQSeries:
     cells = {}
     for j in range(depth + 1):
         key = tuple(j if k - 1 <= i <= l - 2 else 0 for i in range(len(dims)))
-        cells[key] = base.c[j]
+        cells[key] = base.get((j,))
     return MultiQSeries(dims, cells)
 
 

@@ -41,7 +41,7 @@ def tuple_sweep(n: int, bdeg: int):
     return out
 
 
-def _framed_pair_square(mu1, mu2, m: int, fdeg: int) -> QSeries:
+def _framed_pair_square(mu1, mu2, m: int, fdeg: int) -> MultiQSeries:
     """Squared transposed-pair series with the framing twist to power m."""
     ks = k_brute(mu1, conjugate(mu2), fdeg)
     ks = ks * ks
@@ -49,7 +49,7 @@ def _framed_pair_square(mu1, mu2, m: int, fdeg: int) -> QSeries:
         w = weight(mu1) + weight(mu2)
         sgn = (-1) ** (m * w)
         tw = LaurentFraction.monomial(sgn, (-m * (kappa(mu1) + kappa(mu2)),))
-        ks = ks.scale(tw).shift_q(m * weight(mu2))
+        ks = ks.scale(tw).shift((m * weight(mu2),))
     return ks
 
 
@@ -61,7 +61,7 @@ def z_su2(m: int, bdeg: int, fdeg: int) -> MultiQSeries:
         mu2 = normalize(mu2)
         b = weight(mu1) + weight(mu2)
         ks = _framed_pair_square(mu1, mu2, m, fdeg)
-        for d, val in enumerate(ks.c):
+        for (d,), val in ks.c.items():
             key = (b, d)
             prev = cells.get(key)
             cells[key] = val if prev is None else prev + val
@@ -93,7 +93,7 @@ def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
     """Termwise sinh identity, then the graded aggregate."""
     k0 = k00_closed(fdeg)
     k0sq = k0 * k0
-    agg = {b: QSeries.zero(fdeg) for b in range(bdeg + 1)}
+    agg = {b: MultiQSeries((fdeg,)) for b in range(bdeg + 1)}
     for mu1, mu2, fr in z_su2_sinh_side(m, bdeg):
         lhs = _framed_pair_square(mu1, mu2, m, fdeg)
         rhs = k0sq * expand_in_q(fr, fdeg)
@@ -112,8 +112,8 @@ def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
 def verify_fiber_swap(bdeg: int, fdeg: int) -> bool:
     """Transposing the second slot leaves each base-degree layer fixed."""
     for b in range(bdeg + 1):
-        plain = QSeries.zero(fdeg)
-        swapped = QSeries.zero(fdeg)
+        plain = MultiQSeries((fdeg,))
+        swapped = MultiQSeries((fdeg,))
         for mu1, mu2 in pair_sweep(bdeg):
             if weight(mu1) + weight(mu2) != b:
                 continue
@@ -223,7 +223,7 @@ def sun_phi_model(n: int, mus) -> bool:
 def verify_sun_pair_consistency(mu1, mu2, trunc: int) -> bool:
     """At rank 2 the framed chain square is the plain pair square."""
     mu2 = normalize(mu2)
-    kt = ktilde_brute([mu1, mu2], (trunc,)).to_qseries()
+    kt = ktilde_brute([mu1, mu2], (trunc,))
     m0 = LaurentFraction.monomial(1, (-2 * kappa(mu2),))
     lhs = (kt * kt).scale(m0)
     kb = k_brute(mu1, conjugate(mu2), trunc)

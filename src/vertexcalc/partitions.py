@@ -26,14 +26,6 @@ def normalize(mu: Iterable[int]) -> tuple[int, ...]:
     return p
 
 
-def is_partition(mu) -> bool:
-    try:
-        normalize(mu)
-    except (ValueError, TypeError):
-        return False
-    return True
-
-
 def weight(mu) -> int:
     return sum(mu)
 

@@ -22,6 +22,7 @@ division pass picks up the cancellations that occur in practice.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -78,12 +79,6 @@ def kneg(a) -> tuple[int, ...]:
 
 def _revpad(k, n):
     return tuple((k[i] if i < len(k) else 0) for i in range(n - 1, -1, -1))
-
-
-def kless(a, b) -> bool:
-    """Strict s-major comparison of exponent keys."""
-    n = max(len(a), len(b))
-    return _revpad(a, n) < _revpad(b, n)
 
 
 def _normval(v):
@@ -279,10 +274,6 @@ class LaurentPoly:
         n = self.nvars
         return min(self.d, key=lambda k: _revpad(k, n))
 
-    def max_key(self):
-        n = self.nvars
-        return max(self.d, key=lambda k: _revpad(k, n))
-
     def axis_range(self, axis: int):
         lo = hi = 0
         first = True
@@ -295,9 +286,6 @@ class LaurentPoly:
                 lo = min(lo, v)
                 hi = max(hi, v)
         return lo, hi
-
-    def eval_at_one(self):
-        return sum(self.d.values(), Fraction(0))
 
     def terms(self):
         n = self.nvars
@@ -398,7 +386,7 @@ def _factor_product(factors: frozenset) -> LaurentPoly:
     return out
 
 
-# Numerators at or above this size skip the opportunistic cancellation pass.
+# Numerators with more terms than this skip the opportunistic cancellation pass.
 _DIV_ATTEMPT_CAP = 512
 
 
@@ -559,38 +547,32 @@ class LaurentFraction:
     def shift(self, key):
         return LaurentFraction(self.num.shift(key), self.den)
 
-    def subs_power(self, n: int):
-        num = self.num.subs_power(n)
-        den: dict = {}
-        for f, e in self.den.items():
-            canon, mk, c = _canonical_parts(f.subs_power(n))
-            if canon is not None:
-                den[canon] = den.get(canon, 0) + e
-            num = num.shift(trim(-v * e for v in mk)).scale((Fraction(1) / c) ** e)
-        return LaurentFraction._make(num, den)
+    def _remap(self, fn):
+        """Map numerator and factors through fn, re-canonicalizing each factor.
 
-    def invert_vars(self):
-        num = self.num.invert_vars()
+        A mapped factor's monomial and coefficient move into the numerator.
+        A factor that fn collapses to a single term has no canonical form.
+        """
+        num = fn(self.num)
         den: dict = {}
         for f, e in self.den.items():
-            canon, mk, c = _canonical_parts(f.invert_vars())
-            if canon is not None:
-                den[canon] = den.get(canon, 0) + e
-            num = num.shift(trim(-v * e for v in mk)).scale((Fraction(1) / c) ** e)
-        return LaurentFraction._make(num, den)
-
-    def fold_axes(self):
-        """Identify all variables with axis 0 (diagonal specialization)."""
-        num = self.num.fold_axes()
-        den: dict = {}
-        for f, e in self.den.items():
-            g = f.fold_axes()
+            g = fn(f)
             if len(g.d) < 2:
-                raise ValueError("denominator factor degenerates under folding")
+                raise ValueError("denominator factor degenerates under the substitution")
             canon, mk, c = _canonical_parts(g)
             den[canon] = den.get(canon, 0) + e
             num = num.shift(trim(-v * e for v in mk)).scale((Fraction(1) / c) ** e)
         return LaurentFraction._make(num, den)
+
+    def subs_power(self, n: int):
+        return self._remap(lambda p: p.subs_power(n))
+
+    def invert_vars(self):
+        return self._remap(LaurentPoly.invert_vars)
+
+    def fold_axes(self):
+        """Identify all variables with axis 0 (diagonal specialization)."""
+        return self._remap(LaurentPoly.fold_axes)
 
     def den_poly(self) -> LaurentPoly:
         return _den_expand(self.den)
@@ -661,12 +643,6 @@ def _uni(p: LaurentPoly) -> dict[int, object]:
     return out
 
 
-def lf_equal(a, b) -> bool:
-    fa = LaurentFraction._coerce(a)
-    fb = LaurentFraction._coerce(b)
-    return fa == fb
-
-
 def _cscale(x, c: Fraction):
     if isinstance(x, LaurentFraction):
         return x.scale(c)
@@ -679,99 +655,6 @@ def _is_zero_coeff(x) -> bool:
     if isinstance(x, LaurentPoly):
         return x.is_zero()
     return not x
-
-
-class QSeries:
-    """Truncated power series in one box-count variable Q.
-
-    Coefficients may be Fractions or LaurentFractions; the operations only
-    assume + and * work between them.
-    """
-
-    __slots__ = ("trunc", "c")
-
-    def __init__(self, trunc: int, coeffs: Iterable = ()):
-        cc = list(coeffs)
-        if len(cc) > trunc + 1:
-            raise ValueError("more coefficients than the truncation order allows")
-        cc += [Fraction(0)] * (trunc + 1 - len(cc))
-        self.trunc = trunc
-        self.c = cc
-
-    @classmethod
-    def zero(cls, trunc: int):
-        return cls(trunc)
-
-    @classmethod
-    def one(cls, trunc: int):
-        return cls(trunc, [Fraction(1)])
-
-    def _check(self, other: "QSeries"):
-        if self.trunc != other.trunc:
-            raise ValueError("truncation orders differ")
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check(other)
-        return QSeries(self.trunc, [a + b for a, b in zip(self.c, other.c)])
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check(other)
-        return QSeries(self.trunc, [a + (-1) * b for a, b in zip(self.c, other.c)])
-
-    def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check(other)
-        n = self.trunc
-        out: list = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.c):
-            if _is_zero_coeff(a):
-                continue
-            for j in range(0, n - i + 1):
-                b = other.c[j]
-                if _is_zero_coeff(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return QSeries(n, out)
-
-    def scale(self, x):
-        return QSeries(self.trunc, [x * a for a in self.c])
-
-    def shift_q(self, k: int):
-        """Multiply by Q**k, dropping overflow past the truncation order."""
-        if k < 0:
-            raise ValueError("negative Q shift")
-        return QSeries(self.trunc, [Fraction(0)] * min(k, self.trunc + 1) + self.c[: max(self.trunc + 1 - k, 0)])
-
-    def exp(self) -> "QSeries":
-        if not _is_zero_coeff(self.c[0]):
-            raise ValueError("exp needs zero constant term")
-        n = self.trunc
-        e: list = [Fraction(1)] + [Fraction(0)] * n
-        for d in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, d + 1):
-                aj = self.c[j]
-                if _is_zero_coeff(aj):
-                    continue
-                acc = acc + _cscale(aj, Fraction(j)) * e[d - j]
-            e[d] = _cscale(acc, Fraction(1, d))
-        return QSeries(n, e)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check(other)
-        return all(a == b for a, b in zip(self.c, other.c))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"QSeries(trunc={self.trunc}, {self.c!r})"
 
 
 class MultiQSeries:
@@ -845,6 +728,43 @@ class MultiQSeries:
         r.c = {k: x * v for k, v in self.c.items()}
         return r
 
+    def shift(self, key):
+        """Multiply by the Q monomial with exponent key, dropping terms that
+        leave the box."""
+        key = tuple(key)
+        if any(x < 0 for x in key):
+            raise ValueError("negative Q shift")
+        return MultiQSeries(self.dims, {tuple(a + b for a, b in zip(k, key)): v
+                                        for k, v in self.c.items()})
+
+    def exp(self) -> "MultiQSeries":
+        """exp of a series with zero constant term.
+
+        Uses the Euler-operator recurrence |k| e_k = sum_j |j| a_j e_{k-j},
+        |k| being the total degree, filling the box in lexicographic order
+        so every e_{k-j} is known before e_k (a k - j with a negative entry
+        is never a key of e).
+        """
+        origin = (0,) * len(self.dims)
+        if not _is_zero_coeff(self.get(origin)):
+            raise ValueError("exp needs zero constant term")
+        terms = [(j, _cscale(a, Fraction(sum(j)))) for j, a in sorted(self.c.items())
+                 if not _is_zero_coeff(a)]
+        e: dict = {origin: Fraction(1)}
+        for k in itertools.product(*(range(d + 1) for d in self.dims)):
+            if k == origin:
+                continue
+            acc = Fraction(0)
+            for j, ja in terms:
+                prev = e.get(tuple(b - a for a, b in zip(j, k)))
+                if prev is not None:
+                    acc = acc + ja * prev
+            if not _is_zero_coeff(acc):
+                e[k] = _cscale(acc, Fraction(1, sum(k)))
+        r = MultiQSeries(self.dims)
+        r.c = e
+        return r
+
     def __eq__(self, other):
         if not isinstance(other, MultiQSeries):
             return NotImplemented
@@ -862,13 +782,24 @@ class MultiQSeries:
     def one(cls, dims):
         return cls(tuple(dims), {tuple(0 for _ in dims): Fraction(1)})
 
-    def to_qseries(self) -> QSeries:
-        if len(self.dims) != 1:
-            raise ValueError("only single-axis series convert to QSeries")
-        return QSeries(self.dims[0], [self.c.get((d,), Fraction(0)) for d in range(self.dims[0] + 1)])
-
     def __repr__(self):
         return f"MultiQSeries(dims={self.dims}, terms={len(self.c)})"
+
+
+class QSeries(MultiQSeries):
+    """One-axis series from a dense coefficient list: coeffs[d] is the Q**d term.
+
+    Only a constructor.  The name stays because perfbench/tracer.py looks
+    it up on this module.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, trunc: int, coeffs: Iterable = ()):
+        cc = list(coeffs)
+        if len(cc) > trunc + 1:
+            raise ValueError("more coefficients than the truncation order allows")
+        super().__init__((trunc,), {(d,): c for d, c in enumerate(cc)})
 
 
 class MultiPoly:
@@ -1050,8 +981,8 @@ def expand_in_q_multi(fr: LaurentFraction, dims) -> MultiQSeries:
     return MultiQSeries(dims, out)
 
 
-def expand_in_q(fr: LaurentFraction, trunc: int) -> QSeries:
-    return expand_in_q_multi(fr, (trunc,)).to_qseries()
+def expand_in_q(fr: LaurentFraction, trunc: int) -> MultiQSeries:
+    return expand_in_q_multi(fr, (trunc,))
 
 
 def poly_terms_json(p: LaurentPoly, nvars: int):
@@ -1077,8 +1008,10 @@ def coeff_json(x):
     return str(Fraction(x))
 
 
-def qseries_json(qs: QSeries) -> dict:
-    return {"trunc": qs.trunc, "coeffs": [coeff_json(x) for x in qs.c]}
+def qseries_json(qs: MultiQSeries) -> dict:
+    """Dense {"trunc", "coeffs"} form of a one-axis series."""
+    trunc = qs.dims[0]
+    return {"trunc": trunc, "coeffs": [coeff_json(qs.get((d,))) for d in range(trunc + 1)]}
 
 
 def multiqseries_json(ms: MultiQSeries) -> dict:

@@ -17,7 +17,7 @@ from .partitions import (all_partitions, conjugate, contents, hooks, kappa,
                          verify_hook_identity, weight)
 from .prodred import bracket, one_minus_qq, pair_multiset, single_multiset, sinh_factor
 from .report import Check
-from .series import LaurentFraction, QSeries, fraction_json
+from .series import LaurentFraction, fraction_json
 
 
 def pstr(mu) -> str:
@@ -419,7 +419,7 @@ SUITE_ORDER = list(SUITES)
 
 def injected_failure_check() -> Check:
     def fn():
-        true = ksum.k00_closed(2).c[1]
+        true = ksum.k00_closed(2).get((1,))
         bad = true + LaurentFraction.one()
         if bad == true:
             return True, None

@@ -20,8 +20,8 @@ def test_empty_pair_series_anchor():
     # degree-one coefficient of the empty-pair series is 1 / (t - 1/t)^2
     ks = k00_closed(3)
     assert ks == k_brute((), (), 3)
-    assert ks.c[0] == Fraction(1)
-    assert ks.c[1] == bracket(1) ** -2
+    assert ks.get((0,)) == Fraction(1)
+    assert ks.get((1,)) == bracket(1) ** -2
 
 
 def test_pair_series_three_routes():

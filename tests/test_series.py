@@ -71,6 +71,13 @@ def test_fraction_field_identities():
     assert x + y == (one + one) / (one - t ** 2)
 
 
+def test_fold_axes_rejects_degenerate_factor():
+    t = LaurentFraction.monomial(1, (1,))
+    s = LaurentFraction.monomial(1, (0, 1))
+    with pytest.raises(ValueError):
+        (LaurentFraction.one() / (LaurentFraction.one() - t / s)).fold_axes()
+
+
 def test_fraction_expand_at_zero():
     t = LaurentFraction.monomial(1, (1,))
     geom = LaurentFraction.one() / (LaurentFraction.one() - t)
@@ -83,15 +90,27 @@ def test_fraction_expand_at_zero():
 def test_qseries_arithmetic_and_exp():
     # exp(log(1/(1-Q))) built from harmonic coefficients
     trunc = 6
-    arg = QSeries(trunc, [Fraction(0)] + [Fraction(1, n) for n in range(1, trunc + 1)])
+    arg = MultiQSeries((trunc,), {(n,): Fraction(1, n) for n in range(1, trunc + 1)})
     geo = arg.exp()
-    assert geo.c == [Fraction(1)] * (trunc + 1)
+    assert geo == MultiQSeries((trunc,), {(d,): Fraction(1) for d in range(trunc + 1)})
     with pytest.raises(ValueError):
-        QSeries(2, [Fraction(1)]).exp()
+        MultiQSeries((2,), {(0,): Fraction(1)}).exp()
     with pytest.raises(ValueError):
-        QSeries(2).shift_q(-1)
-    assert QSeries(3, [1, 2]).shift_q(2).c == [0, 0, 1, 2]
-    assert QSeries(2, [1, 2]).shift_q(5).c == [0, 0, 0]
+        MultiQSeries((2,)).shift((-1,))
+    pair = MultiQSeries((3,), {(0,): 1, (1,): 2})
+    assert [pair.shift((2,)).get((d,)) for d in range(4)] == [0, 0, 1, 2]
+    assert pair.shift((5,)).c == {}
+
+
+def test_multiqseries_exp_two_axes():
+    dims = (3, 2)
+    x = MultiQSeries(dims, {(1, 0): Fraction(1), (1, 1): LaurentFraction.monomial(2, (1,))})
+    y = MultiQSeries(dims, {(0, 1): Fraction(-1), (2, 1): Fraction(5, 3)})
+    assert (x + y).exp() == x.exp() * y.exp()
+    assert x.exp().get((3, 0)) == Fraction(1, 6)
+    with pytest.raises(ValueError):
+        x.shift((1, -1))
+    assert x.shift((0, 2)) == MultiQSeries(dims, {(1, 2): Fraction(1)})
 
 
 def test_memo_table_policy():
@@ -124,7 +143,9 @@ def test_memo_table_policy():
 
 def test_qseries_trunc_mismatch():
     with pytest.raises(ValueError):
-        QSeries(2) + QSeries(3)
+        MultiQSeries((2,)) + MultiQSeries((3,))
+    with pytest.raises(ValueError):
+        MultiQSeries((2, 2)) * MultiQSeries((2, 3))
 
 
 def test_multiqseries_box_products():
@@ -134,9 +155,9 @@ def test_multiqseries_box_products():
     p = (one + x) * (one + y)
     assert p.get((1, 1)) == 1 and p.get((2, 2)) == 0
     assert (x * x * x).get((2, 0)) == 0  # overflow drops out of the box
-    single = MultiQSeries((3,), {(0,): 1, (2,): 5})
-    qs = single.to_qseries()
-    assert qs.c == [1, 0, 5, 0]
+    single = QSeries(3, [1, 0, 5])
+    assert [single.get((d,)) for d in range(4)] == [1, 0, 5, 0]
+    assert single == MultiQSeries((3,), {(0,): 1, (2,): 5})
 
 
 def test_expand_in_q_geometric():
@@ -145,7 +166,7 @@ def test_expand_in_q_geometric():
     fr = LaurentFraction.one() / (LaurentFraction.one() - t ** 2 * s ** 2)
     qs = expand_in_q(fr, 3)
     for d in range(4):
-        assert qs.c[d] == LaurentFraction.monomial(1, (2 * d,))
+        assert qs.get((d,)) == LaurentFraction.monomial(1, (2 * d,))
 
 
 def test_expand_in_q_rejects_stray_half_powers():
@@ -175,9 +196,8 @@ def test_json_shapes():
     fr = t / (LaurentFraction.one() - t ** 2)
     fj = fraction_json(fr)
     assert set(fj) == {"num", "den"}
-    qs = QSeries(1, [Fraction(1), fr])
-    qj = qseries_json(qs)
-    assert qj["trunc"] == 1 and len(qj["coeffs"]) == 2
+    qs = MultiQSeries((2,), {(0,): Fraction(1), (2,): fr})
+    assert qseries_json(qs) == {"trunc": 2, "coeffs": ["1", "0", fj]}
     ms = MultiQSeries((1, 1), {(1, 0): Fraction(2)})
     mj = multiqseries_json(ms)
     assert mj["dims"] == [1, 1]
