@@ -15,8 +15,11 @@ Exponent conventions shared across the package:
 
 Denominators are kept as multisets of canonical factors (lowest key shifted
 to the origin, constant coefficient 1).  Sums and products then never need a
-polynomial gcd: identical factors cancel syntactically, and a bounded exact
-division pass picks up the cancellations that occur in practice.
+polynomial gcd: identical factors cancel syntactically, and each binomial
+factor 1 + v*X**k is divided out of the numerator exactly (synthetic
+division) whenever it divides.  The paper's identities are products of such
+binomials; a factor with more terms stays in the denominator, and equality
+stays exact because == cross-multiplies.
 """
 
 from __future__ import annotations
@@ -103,6 +106,14 @@ class LaurentPoly:
         self._h = None
 
     @classmethod
+    def _of(cls, d: dict):
+        """Adopt d as the term dict: keys trimmed, values nonzero and normalized."""
+        r = cls.__new__(cls)
+        r.d = d
+        r._h = None
+        return r
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -153,18 +164,12 @@ class LaurentPoly:
                 out[k] = _normval(w)
             else:
                 out.pop(k, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.d = out
-        r._h = None
-        return r
+        return LaurentPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.d = {k: -v for k, v in self.d.items()}
-        r._h = None
-        return r
+        return LaurentPoly._of({k: -v for k, v in self.d.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -201,10 +206,7 @@ class LaurentPoly:
                         out[kk] = w
                     else:
                         del out[kk]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.d = {k: _normval(v) for k, v in out.items()}
-        r._h = None
-        return r
+        return LaurentPoly._of({k: _normval(v) for k, v in out.items()})
 
     __rmul__ = __mul__
 
@@ -224,20 +226,14 @@ class LaurentPoly:
     def scale(self, c):
         if not c:
             return LaurentPoly.zero()
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.d = {k: _normval(v * c) for k, v in self.d.items()}
-        r._h = None
-        return r
+        return LaurentPoly._of({k: _normval(v * c) for k, v in self.d.items()})
 
     def shift(self, key):
         """Multiply by the monomial with the given exponent key."""
         key = trim(key)
         if not key:
             return self
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.d = {kadd(k, key): v for k, v in self.d.items()}
-        r._h = None
-        return r
+        return LaurentPoly._of({kadd(k, key): v for k, v in self.d.items()})
 
     def subs_power(self, n: int):
         """Replace the axis-0 variable t by t**n (n >= 1)."""
@@ -253,10 +249,7 @@ class LaurentPoly:
 
     def invert_vars(self):
         """Send every variable to its reciprocal."""
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.d = {kneg(k): v for k, v in self.d.items()}
-        r._h = None
-        return r
+        return LaurentPoly._of({kneg(k): v for k, v in self.d.items()})
 
     def fold_axes(self):
         """Identify all variables: key (e0, e1, ...) becomes (e0+e1+...,)."""
@@ -273,19 +266,6 @@ class LaurentPoly:
     def min_key(self):
         n = self.nvars
         return min(self.d, key=lambda k: _revpad(k, n))
-
-    def axis_range(self, axis: int):
-        lo = hi = 0
-        first = True
-        for k in self.d:
-            v = k[axis] if axis < len(k) else 0
-            if first:
-                lo = hi = v
-                first = False
-            else:
-                lo = min(lo, v)
-                hi = max(hi, v)
-        return lo, hi
 
     def terms(self):
         n = self.nvars
@@ -329,43 +309,36 @@ def _canonical_parts(p: LaurentPoly):
 
 
 def _exact_div(num: LaurentPoly, f: LaurentPoly):
-    """Quotient num / f when the division is exact, else None.
+    """Quotient num / f when f = 1 + v*X**k divides num exactly, else None.
 
-    f must be canonical (min key at the origin with coefficient 1).  The
-    loop maintains the invariant that all remainder keys stay inside the
-    bounding box of num, so it always terminates.
+    f must be canonical; a factor with more than two terms is not divided.
+    The quotient obeys q[m] = num[m] - v*q[m - k], so each chain of keys
+    m, m + k, m + 2k, ... is walked from its least key, through any gaps,
+    and the division is exact iff the running value is 0 at the chain's top
+    key.  Chains are told apart by the last axis of k, which is positive
+    because the constant term is f's least key.
     """
-    nv = max(num.nvars, f.nvars)
-    boxes = []
-    for axis in range(nv):
-        nlo, nhi = num.axis_range(axis)
-        flo, fhi = f.axis_range(axis)
-        qlo, qhi = nlo - flo, nhi - fhi
-        if qlo > qhi:
+    if len(f.d) != 2:
+        return None
+    k, v = next((k, v) for k, v in f.d.items() if k)
+    axis, step = len(k) - 1, k[-1]
+    chains: dict = {}
+    for m, c in num.d.items():
+        j = (m[axis] if axis < len(m) else 0) // step
+        chains.setdefault(kadd(m, tuple(-j * x for x in k)), {})[j] = c
+    q = {}
+    for base, cs in chains.items():
+        lo, hi = min(cs), max(cs)
+        m = kadd(base, tuple(lo * x for x in k))
+        acc = 0
+        for j in range(lo, hi):
+            acc = _normval(cs.get(j, 0) - v * acc)
+            if acc:
+                q[m] = acc
+            m = kadd(m, k)
+        if cs[hi] != v * acc:
             return None
-        boxes.append((qlo, qhi))
-    r = dict(num.d)
-    q: dict = {}
-    fitems = [(k, v) for k, v in f.d.items() if k != ()]
-    while r:
-        m = min(r, key=lambda k: _revpad(k, nv))
-        for axis in range(nv):
-            mv = m[axis] if axis < len(m) else 0
-            if not boxes[axis][0] <= mv <= boxes[axis][1]:
-                return None
-        c = r.pop(m)
-        q[m] = c
-        for k, v in fitems:
-            kk = kadd(m, k)
-            w = r.get(kk, 0) - c * v
-            if w:
-                r[kk] = w
-            else:
-                r.pop(kk, None)
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.d = {k: _normval(v) for k, v in q.items()}
-    out._h = None
-    return out
+    return LaurentPoly._of(q)
 
 
 _EXPAND_CACHE: dict = {}
@@ -386,10 +359,6 @@ def _factor_product(factors: frozenset) -> LaurentPoly:
     return out
 
 
-# Numerators with more terms than this skip the opportunistic cancellation pass.
-_DIV_ATTEMPT_CAP = 512
-
-
 class LaurentFraction:
     """Quotient of Laurent polynomials with factored denominator.
 
@@ -400,28 +369,42 @@ class LaurentFraction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: Mapping | None = None):
+        den = dict(den) if den else {}
+        for f, e in den.items():
+            if not (isinstance(f, LaurentPoly) and len(f.d) > 1 and f.d.get(()) == 1
+                    and f.min_key() == ()):
+                raise ValueError(f"denominator factor {f!r} is not canonical")
+            if not (isinstance(e, int) and e > 0):
+                raise ValueError(f"denominator exponent {e!r} is not a positive int")
         self.num = num
-        self.den = dict(den) if den else {}
+        self.den = den
+
+    @classmethod
+    def _of(cls, num: LaurentPoly, den: dict):
+        """Adopt num and den unchecked: every factor canonical, every exponent positive."""
+        r = cls.__new__(cls)
+        r.num = num
+        r.den = den
+        return r
 
     @classmethod
     def _make(cls, num: LaurentPoly, den: dict):
         den = {f: e for f, e in den.items() if e}
         if not num.d:
             return cls(LaurentPoly.zero(), {})
-        if den and len(num.d) <= _DIV_ATTEMPT_CAP:
-            for f in list(den):
-                e = den[f]
-                while e > 0:
-                    qq = _exact_div(num, f)
-                    if qq is None:
-                        break
-                    num = qq
-                    e -= 1
-                if e:
-                    den[f] = e
-                else:
-                    del den[f]
-        return cls(num, den)
+        for f in list(den):
+            e = den[f]
+            while e > 0:
+                qq = _exact_div(num, f)
+                if qq is None:
+                    break
+                num = qq
+                e -= 1
+            if e:
+                den[f] = e
+            else:
+                del den[f]
+        return cls._of(num, den)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly):
@@ -495,7 +478,7 @@ class LaurentFraction:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentFraction(-self.num, self.den)
+        return LaurentFraction._of(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -542,10 +525,10 @@ class LaurentFraction:
     def scale(self, c):
         if not c:
             return LaurentFraction.zero()
-        return LaurentFraction(self.num.scale(c), self.den)
+        return LaurentFraction._of(self.num.scale(c), self.den)
 
     def shift(self, key):
-        return LaurentFraction(self.num.shift(key), self.den)
+        return LaurentFraction._of(self.num.shift(key), self.den)
 
     def _remap(self, fn):
         """Map numerator and factors through fn, re-canonicalizing each factor.

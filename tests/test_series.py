@@ -48,15 +48,50 @@ def test_poly_commutative_ring(a, b):
     assert (a + b).invert_vars() == a.invert_vars() + b.invert_vars()
 
 
-@given(laurent_polys(naxes=2, span=2, terms=3), laurent_polys(naxes=2, span=2, terms=3))
-@settings(max_examples=40, deadline=None)
-def test_fraction_cancellation(a, b):
-    # (a*b)/b compares equal to a/1 whenever b is not zero
-    if not b.d:
-        return
-    num = LaurentFraction.from_poly(a * b)
-    den = LaurentFraction.from_poly(b)
-    assert num == LaurentFraction.from_poly(a) * den
+@st.composite
+def binomial_lists(draw):
+    """Binomials 1 + c*X**k on two axes; each may come with its partner
+    1 - c*X**k, so that dividing by one of them walks across gaps."""
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        k = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        c = draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+        out.append(LaurentPoly({(): 1, k: c}))
+        if draw(st.booleans()):
+            out.append(LaurentPoly({(): 1, k: -c}))
+    return out
+
+
+@given(laurent_polys(naxes=2, span=2, terms=3), binomial_lists())
+@settings(max_examples=60, deadline=None)
+def test_fraction_cancellation(a, binomials):
+    # (a*b)/b, b a product of binomials, comes back as exactly a over {}
+    b = LaurentPoly.one()
+    b_inv = LaurentFraction.one()
+    for g in binomials:
+        b = b * g
+        b_inv = b_inv * LaurentFraction.from_poly(g) ** -1
+    x = LaurentFraction.from_poly(a * b) * b_inv
+    assert x.num.d == a.d and x.den == {}
+    # a three-term factor is not divided out, yet == still holds exactly
+    tri = LaurentPoly({(): 1, (1,): 1, (0, 1): -1})
+    kept = LaurentFraction.from_poly(a * tri) / tri
+    assert kept.den == ({tri: 1} if a else {})
+    assert kept == LaurentFraction.from_poly(a)
+
+
+def test_fraction_rejects_non_canonical_factor():
+    # t - 1 is 1 - t up to sign; accepting it would let the division pass
+    # treat it as canonical and return a wrong value with no error
+    t = mono(1, (1,))
+    with pytest.raises(ValueError):
+        LaurentFraction(t * t - 1, {t - 1: 1})
+    with pytest.raises(ValueError):
+        LaurentFraction(t * t - 1, {t * t - t: 1})
+    with pytest.raises(ValueError):
+        LaurentFraction(t, {1 - t: 0})
+    x = LaurentFraction(t * t - 1, {1 - t: 1})
+    assert x * 1 == -1 - t
 
 
 def test_fraction_field_identities():
