@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .partitions import conjugate, contents, hook_multiset, normalize
-from .series import LaurentFraction, LaurentPoly, kadd, kneg, trim
+from .series import LaurentFraction, LaurentPoly
 
 
 def bracket(m: int) -> LaurentFraction:
@@ -28,19 +28,17 @@ def bracket(m: int) -> LaurentFraction:
 
 
 def one_minus_qq(m: int, shift=(0, 2)) -> LaurentFraction:
-    key = kadd((2 * m,), trim(shift))
-    if not key:
+    x = LaurentPoly.var(0, 2 * m).shift(shift)
+    if x == 1:
         raise ValueError("factor 1 - 1 vanishes")
-    return LaurentFraction.from_poly(LaurentPoly({(): 1, key: -1}))
+    return LaurentFraction.from_poly(LaurentPoly.one() - x)
 
 
 def sinh_factor(m: int, shift=(0, 1)) -> LaurentFraction:
-    key = kadd((m,), trim(shift))
-    if not key:
+    x = LaurentPoly.var(0, m).shift(shift)
+    if x == 1:
         raise ValueError("sinh factor vanishes at m = 0")
-    return LaurentFraction.from_poly(
-        LaurentPoly({kneg(key): Fraction(1, 2), key: Fraction(-1, 2)})
-    )
+    return LaurentFraction.from_poly((x.invert_vars() - x).scale(Fraction(1, 2)))
 
 
 def product_over(ms: Mapping[int, int], factor: Callable[[int], LaurentFraction]) -> LaurentFraction:

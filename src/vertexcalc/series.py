@@ -6,12 +6,21 @@ anywhere: coefficients are ints or fractions.Fraction.
 
 Exponent conventions shared across the package:
 
-* keys are integer tuples with trailing zeros trimmed; axis 0 carries the
-  half-power variable t (t**2 is the loop weight q), axis k >= 1 carries the
-  half-power s_k of the k-th box-count variable Q_k,
-* keys compare in s-major order, highest axis first and axis 0 last.  This
-  is a total order compatible with key addition, which is what makes exact
-  division and the extremes of products predictable.
+* an exponent vector (e0, e1, ...) has axis 0 for the half-power variable t
+  (t**2 is the loop weight q) and axis k >= 1 for the half-power s_k of the
+  k-th box-count variable Q_k; at the public boundary (constructors, shift,
+  the decoded view LaurentPoly.d, JSON) it is an int tuple with trailing
+  zeros trimmed,
+* inside LaurentPoly it is one packed int, sum(e_i * 2**(64*i)): balanced
+  digits in [-2**63, 2**63), axis 0 least significant.  Trailing zeros
+  vanish by themselves, adding keys is +, inverting all variables is unary
+  -, and int order is s-major order (highest axis first, axis 0 last), a
+  total order compatible with key addition, which is what makes exact
+  division and the extremes of products predictable,
+* pack() rejects an exponent of magnitude 2**31 or more, and so do **
+  and subs_power, the operations that multiply exponents, so no digit can
+  wrap into its neighbour unless 2**32 keys of the largest size are added
+  up in one chain of products.
 
 Denominators are kept as multisets of canonical factors (lowest key shifted
 to the origin, constant coefficient 1).  Sums and products then never need a
@@ -28,6 +37,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 CACHE_LIMIT = 1 << 20
@@ -59,41 +69,59 @@ def memo(table: dict):
     return decorate
 
 
-def trim(key) -> tuple[int, ...]:
-    k = tuple(key)
-    n = len(k)
-    while n and k[n - 1] == 0:
-        n -= 1
-    return k[:n]
+DIGIT_BITS = 64
+_BASE = 1 << DIGIT_BITS
+_MASK = _BASE - 1
+_HALF = _BASE >> 1
+EXP_LIMIT = 1 << 31
 
 
-def kadd(a, b) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return trim(out)
+def pack(key) -> int:
+    """Packed int key of an exponent tuple: axis i is the balanced digit of 2**(64*i)."""
+    x = 0
+    for e in reversed(key):
+        if not -EXP_LIMIT < e < EXP_LIMIT:
+            raise OverflowError(f"exponent {e} is out of the packed key range")
+        x = (x << DIGIT_BITS) + e
+    return x
 
 
-def kneg(a) -> tuple[int, ...]:
-    return trim(-v for v in a)
+def _digit0(x: int) -> int:
+    """The axis-0 exponent of a packed key."""
+    return ((x + _HALF) & _MASK) - _HALF
 
 
-def _revpad(k, n):
-    return tuple((k[i] if i < len(k) else 0) for i in range(n - 1, -1, -1))
+def unpack(x: int) -> tuple[int, ...]:
+    """Exponent tuple of a packed key, trailing zeros trimmed."""
+    out = []
+    while x:
+        e = _digit0(x)
+        out.append(e)
+        x = (x - e) >> DIGIT_BITS
+    return tuple(out)
+
+
+def _digits(keys: Iterable[int], axis: int) -> list[int]:
+    """The exponents on one axis of packed keys, by one add, shift and mask each.
+
+    Half a unit of the axis lifts the part below it into [0, 2**(64*axis))
+    and 2**63 units lift the axis digit into [0, 2**64), so neither carries.
+    """
+    sh = DIGIT_BITS * axis
+    off = (_HALF << sh) + (1 << sh >> 1)
+    return [(((x + off) >> sh) & _MASK) - _HALF for x in keys]
 
 
 def _normval(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
+    if type(v) is Fraction and v.denominator == 1:
         return v.numerator
     return v
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with tuple exponents and exact coefficients."""
+    """Sparse Laurent polynomial with packed int exponent keys and exact coefficients."""
 
-    __slots__ = ("d", "_h")
+    __slots__ = ("_t", "_h", "_d")
 
     def __init__(self, d: Mapping | None = None):
         dd = {}
@@ -101,25 +129,27 @@ class LaurentPoly:
             for k, v in d.items():
                 v = _normval(v)
                 if v:
-                    dd[trim(k)] = v
-        self.d = dd
+                    dd[pack(k)] = v
+        self._t = dd
         self._h = None
+        self._d = None
 
     @classmethod
-    def _of(cls, d: dict):
-        """Adopt d as the term dict: keys trimmed, values nonzero and normalized."""
+    def _of(cls, t: dict):
+        """Adopt t as the term dict: packed keys, values nonzero and normalized."""
         r = cls.__new__(cls)
-        r.d = d
+        r._t = t
         r._h = None
+        r._d = None
         return r
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls):
-        return cls({(): 1})
+        return cls._of({0: 1})
 
     @classmethod
     def const(cls, c):
@@ -131,34 +161,39 @@ class LaurentPoly:
 
     @classmethod
     def var(cls, axis: int, exp: int = 1):
-        key = [0] * (axis + 1)
-        key[axis] = exp
-        return cls({tuple(key): 1})
+        return cls._of({pack((0,) * axis + (exp,)): 1})
+
+    @property
+    def d(self) -> Mapping:
+        """Read-only view of the terms keyed by exponent tuples, for boundary code."""
+        if self._d is None:
+            self._d = {unpack(k): v for k, v in self._t.items()}
+        return MappingProxyType(self._d)
 
     @property
     def nvars(self) -> int:
-        return max((len(k) for k in self.d), default=0)
+        return max((len(unpack(k)) for k in self._t), default=0)
 
     def is_zero(self) -> bool:
-        return not self.d
+        return not self._t
 
     def __bool__(self):
-        return bool(self.d)
+        return bool(self._t)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, LaurentPoly):
             return x
         if isinstance(x, (int, Fraction)):
-            return LaurentPoly({(): x})
+            return LaurentPoly.const(x)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.d)
-        for k, v in o.d.items():
+        out = dict(self._t)
+        for k, v in o._t.items():
             w = out.get(k, 0) + v
             if w:
                 out[k] = _normval(w)
@@ -169,7 +204,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._of({k: -v for k, v in self.d.items()})
+        return LaurentPoly._of({k: -v for k, v in self._t.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -187,25 +222,17 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self.d) < len(o.d):
+        if len(self._t) < len(o._t):
             self, o = o, self
         out: dict = {}
-        for k2, v2 in o.d.items():
-            if k2 == ():
-                for k1, v1 in self.d.items():
-                    w = out.get(k1, 0) + v1 * v2
-                    if w:
-                        out[k1] = w
-                    else:
-                        del out[k1]
-            else:
-                for k1, v1 in self.d.items():
-                    kk = kadd(k1, k2)
-                    w = out.get(kk, 0) + v1 * v2
-                    if w:
-                        out[kk] = w
-                    else:
-                        del out[kk]
+        for k2, v2 in o._t.items():
+            for k1, v1 in self._t.items():
+                kk = k1 + k2
+                w = out.get(kk, 0) + v1 * v2
+                if w:
+                    out[kk] = w
+                else:
+                    del out[kk]
         return LaurentPoly._of({k: _normval(v) for k, v in out.items()})
 
     __rmul__ = __mul__
@@ -213,6 +240,9 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        top = max((abs(e) for k in self._t for e in unpack(k)), default=0)
+        if top * n >= EXP_LIMIT:
+            raise OverflowError("an exponent of the power leaves the packed key range")
         out = LaurentPoly.one()
         base = self
         while n:
@@ -226,14 +256,17 @@ class LaurentPoly:
     def scale(self, c):
         if not c:
             return LaurentPoly.zero()
-        return LaurentPoly._of({k: _normval(v * c) for k, v in self.d.items()})
+        return LaurentPoly._of({k: _normval(v * c) for k, v in self._t.items()})
 
     def shift(self, key):
-        """Multiply by the monomial with the given exponent key."""
-        key = trim(key)
-        if not key:
+        """Multiply by the monomial with the given exponent tuple."""
+        return self._shifted(pack(key))
+
+    def _shifted(self, x: int):
+        """Multiply by the monomial with packed key x."""
+        if not x:
             return self
-        return LaurentPoly._of({kadd(k, key): v for k, v in self.d.items()})
+        return LaurentPoly._of({k + x: v for k, v in self._t.items()})
 
     def subs_power(self, n: int):
         """Replace the axis-0 variable t by t**n (n >= 1)."""
@@ -242,48 +275,50 @@ class LaurentPoly:
         if n == 1:
             return self
         out = {}
-        for k, v in self.d.items():
-            kk = ((k[0] * n,) + k[1:]) if k else ()
-            out[trim(kk)] = v
-        return LaurentPoly(out)
+        for k, v in self._t.items():
+            e = _digit0(k)
+            if abs(e * n) >= EXP_LIMIT:
+                raise OverflowError("a substituted exponent leaves the packed key range")
+            out[k + (n - 1) * e] = v
+        return LaurentPoly._of(out)
 
     def invert_vars(self):
         """Send every variable to its reciprocal."""
-        return LaurentPoly._of({kneg(k): v for k, v in self.d.items()})
+        return LaurentPoly._of({-k: v for k, v in self._t.items()})
 
     def fold_axes(self):
         """Identify all variables: key (e0, e1, ...) becomes (e0+e1+...,)."""
         out = {}
-        for k, v in self.d.items():
-            kk = trim((sum(k),))
+        for k, v in self._t.items():
+            kk = pack((sum(unpack(k)),))
             w = out.get(kk, 0) + v
             if w:
-                out[kk] = w
+                out[kk] = _normval(w)
             else:
                 out.pop(kk, None)
-        return LaurentPoly(out)
+        return LaurentPoly._of(out)
 
-    def min_key(self):
-        n = self.nvars
-        return min(self.d, key=lambda k: _revpad(k, n))
+    def min_key(self) -> int:
+        """The least packed key, that is, the s-major least exponent."""
+        return min(self._t)
 
     def terms(self):
-        n = self.nvars
-        return sorted(self.d.items(), key=lambda kv: _revpad(kv[0], n))
+        """(exponent tuple, coeff) pairs in s-major order."""
+        return [(unpack(k), self._t[k]) for k in sorted(self._t)]
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.d == o.d
+        return self._t == o._t
 
     def __hash__(self):
         if self._h is None:
-            self._h = hash(frozenset((k, Fraction(v)) for k, v in self.d.items()))
+            self._h = hash(frozenset(self.d.items()))
         return self._h
 
     def __repr__(self):
-        if not self.d:
+        if not self._t:
             return "LaurentPoly(0)"
         bits = []
         for k, v in self.terms():
@@ -294,17 +329,17 @@ class LaurentPoly:
 def _canonical_parts(p: LaurentPoly):
     """Split p as coeff * monomial * canonical, canonical having constant 1.
 
-    Returns (canonical_or_None, monomial_key, coeff); canonical is None when
-    p itself is a single term.
+    Returns (canonical_or_None, packed monomial key, coeff); canonical is
+    None when p itself is a single term.
     """
-    if not p.d:
+    if not p._t:
         raise ZeroDivisionError("zero denominator")
     mk = p.min_key()
-    c = p.d[mk]
-    if len(p.d) == 1:
+    c = p._t[mk]
+    if len(p._t) == 1:
         return None, mk, c
     inv = Fraction(1) / c
-    canon = p.shift(kneg(mk)).scale(inv)
+    canon = p._shifted(-mk).scale(inv)
     return canon, mk, c
 
 
@@ -315,27 +350,30 @@ def _exact_div(num: LaurentPoly, f: LaurentPoly):
     The quotient obeys q[m] = num[m] - v*q[m - k], so each chain of keys
     m, m + k, m + 2k, ... is walked from its least key, through any gaps,
     and the division is exact iff the running value is 0 at the chain's top
-    key.  Chains are told apart by the last axis of k, which is positive
-    because the constant term is f's least key.
+    key.  Chains are told apart by the digit of k's top axis, which is
+    positive because the constant term is f's least key: a term's chain
+    index is its own digit there, floor-divided by k's.
     """
-    if len(f.d) != 2:
+    if len(f._t) != 2:
         return None
-    k, v = next((k, v) for k, v in f.d.items() if k)
-    axis, step = len(k) - 1, k[-1]
+    k = max(f._t)
+    v = f._t[k]
+    ks = unpack(k)
+    step = ks[-1]
     chains: dict = {}
-    for m, c in num.d.items():
-        j = (m[axis] if axis < len(m) else 0) // step
-        chains.setdefault(kadd(m, tuple(-j * x for x in k)), {})[j] = c
+    for (m, c), e in zip(num._t.items(), _digits(num._t, len(ks) - 1)):
+        j = e // step
+        chains.setdefault(m - j * k, {})[j] = c
     q = {}
     for base, cs in chains.items():
         lo, hi = min(cs), max(cs)
-        m = kadd(base, tuple(lo * x for x in k))
+        m = base + lo * k
         acc = 0
         for j in range(lo, hi):
-            acc = _normval(cs.get(j, 0) - v * acc)
+            acc = cs.get(j, 0) - v * acc
             if acc:
-                q[m] = acc
-            m = kadd(m, k)
+                q[m] = _normval(acc)
+            m += k
         if cs[hi] != v * acc:
             return None
     return LaurentPoly._of(q)
@@ -371,8 +409,8 @@ class LaurentFraction:
     def __init__(self, num: LaurentPoly, den: Mapping | None = None):
         den = dict(den) if den else {}
         for f, e in den.items():
-            if not (isinstance(f, LaurentPoly) and len(f.d) > 1 and f.d.get(()) == 1
-                    and f.min_key() == ()):
+            if not (isinstance(f, LaurentPoly) and len(f._t) > 1 and f._t.get(0) == 1
+                    and f.min_key() == 0):
                 raise ValueError(f"denominator factor {f!r} is not canonical")
             if not (isinstance(e, int) and e > 0):
                 raise ValueError(f"denominator exponent {e!r} is not a positive int")
@@ -390,7 +428,7 @@ class LaurentFraction:
     @classmethod
     def _make(cls, num: LaurentPoly, den: dict):
         den = {f: e for f, e in den.items() if e}
-        if not num.d:
+        if not num._t:
             return cls(LaurentPoly.zero(), {})
         for f in list(den):
             e = den[f]
@@ -429,14 +467,14 @@ class LaurentFraction:
     @classmethod
     def ratio(cls, num: LaurentPoly, den: LaurentPoly):
         canon, mk, c = _canonical_parts(den)
-        num2 = num.shift(kneg(mk)).scale(Fraction(1) / c)
+        num2 = num._shifted(-mk).scale(Fraction(1) / c)
         return cls._make(num2, {canon: 1} if canon is not None else {})
 
     def is_zero(self) -> bool:
-        return not self.num.d
+        return not self.num._t
 
     def __bool__(self):
-        return bool(self.num.d)
+        return bool(self.num._t)
 
     @staticmethod
     def _coerce(x):
@@ -463,9 +501,9 @@ class LaurentFraction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num.d:
+        if not self.num._t:
             return o
-        if not o.num.d:
+        if not o.num._t:
             return self
         den: dict = {}
         for f in set(self.den) | set(o.den):
@@ -493,7 +531,7 @@ class LaurentFraction:
         return o + (-self)
 
     def inv(self):
-        if not self.num.d:
+        if not self.num._t:
             raise ZeroDivisionError("inverting zero")
         return LaurentFraction.ratio(_den_expand(self.den), self.num)
 
@@ -540,11 +578,11 @@ class LaurentFraction:
         den: dict = {}
         for f, e in self.den.items():
             g = fn(f)
-            if len(g.d) < 2:
+            if len(g._t) < 2:
                 raise ValueError("denominator factor degenerates under the substitution")
             canon, mk, c = _canonical_parts(g)
             den[canon] = den.get(canon, 0) + e
-            num = num.shift(trim(-v * e for v in mk)).scale((Fraction(1) / c) ** e)
+            num = num._shifted(-mk * e).scale((Fraction(1) / c) ** e)
         return LaurentFraction._make(num, den)
 
     def subs_power(self, n: int):
@@ -618,12 +656,10 @@ class LaurentFraction:
 
 
 def _uni(p: LaurentPoly) -> dict[int, object]:
-    out = {}
-    for k, v in p.d.items():
-        if len(k) > 1:
-            raise ValueError("expansion needs a single-variable expression")
-        out[k[0] if k else 0] = v
-    return out
+    """Terms keyed by the t exponent; a one-axis packed key is that exponent."""
+    if any(not -_HALF <= k < _HALF for k in p._t):
+        raise ValueError("expansion needs a single-variable expression")
+    return p._t
 
 
 def _cscale(x, c: Fraction):
@@ -909,22 +945,22 @@ def _expand_cells(fr: LaurentFraction, naxes: int, qdims) -> dict:
     pure: dict = {}
     bins = []
     for f, e in fr.den.items():
-        if all(len(k) <= 1 for k in f.d):
+        if all(-_HALF <= k < _HALF for k in f._t):
             pure[f] = pure.get(f, 0) + e
             continue
-        if len(f.d) != 2 or f.d.get(()) != 1:
+        if len(f._t) != 2 or f._t.get(0) != 1:
             raise ValueError("denominator factor is not an expandable binomial")
-        other = next(k for k in f.d if k != ())
-        sv = _svec(other, naxes)
+        other = max(f._t)
+        sv = _svec(unpack(other), naxes)
         if any(v < 0 for v in sv) or not any(sv):
             raise ValueError("denominator binomial must raise the Q degree")
-        bins.append((other[0] if other else 0, sv, -f.d[other], e))
+        bins.append((_digit0(other), sv, -f._t[other], e))
     cells: dict = {}
-    for k, v in fr.num.d.items():
-        sv = _svec(k, naxes)
+    for k, v in fr.num._t.items():
+        sv = _svec(unpack(k), naxes)
         if any(a > b for a, b in zip(sv, hi)):
             continue
-        tp = LaurentFraction._make(LaurentPoly({(k[0] if k else 0,): v}), dict(pure))
+        tp = LaurentFraction._make(LaurentPoly._of({_digit0(k): v}), dict(pure))
         prev = cells.get(sv)
         cells[sv] = tp if prev is None else prev + tp
     for texp, sv, base, g in bins:
@@ -970,9 +1006,10 @@ def expand_in_q(fr: LaurentFraction, trunc: int) -> MultiQSeries:
 
 def poly_terms_json(p: LaurentPoly, nvars: int):
     out = []
-    for k in sorted(p.d, key=lambda k: _revpad(k, nvars)):
+    for x in sorted(p._t):
+        k = unpack(x)
         row = [(k[i] if i < len(k) else 0) for i in range(nvars)]
-        row.append(str(Fraction(p.d[k])))
+        row.append(str(Fraction(p._t[x])))
         out.append(row)
     return out
 

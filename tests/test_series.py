@@ -1,15 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vertexcalc import series
 from vertexcalc.partitions import normalize
-from vertexcalc.series import (LaurentFraction, LaurentPoly, MultiPoly,
-                               MultiQSeries, QSeries, expand_in_q,
+from vertexcalc.series import (EXP_LIMIT, LaurentFraction, LaurentPoly,
+                               MultiPoly, MultiQSeries, QSeries, expand_in_q,
                                expand_in_q_multi, fraction_json, memo,
-                               multiqseries_json, poly_terms_json,
-                               qseries_json, set_cache_limit)
+                               multiqseries_json, pack, poly_terms_json,
+                               qseries_json, set_cache_limit, unpack)
 
 
 def mono(c, key):
@@ -46,6 +46,86 @@ def test_poly_commutative_ring(a, b):
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b).invert_vars() == a.invert_vars() + b.invert_vars()
+
+
+def trim(key):
+    k = list(key)
+    while k and k[-1] == 0:
+        k.pop()
+    return tuple(k)
+
+
+def pad(key, n):
+    return tuple(key) + (0,) * (n - len(key))
+
+
+def exponent_keys(bound):
+    """Exponent tuples on 1 to 4 axes, small and extreme entries of both signs."""
+    entry = st.one_of(st.integers(-3, 3), st.integers(-bound, bound))
+    return st.lists(entry, min_size=1, max_size=4).map(tuple)
+
+
+@given(exponent_keys(EXP_LIMIT - 1), exponent_keys(EXP_LIMIT - 1))
+@settings(max_examples=200, deadline=None)
+def test_packed_keys_roundtrip_and_order(a, b):
+    assert unpack(pack(a)) == trim(a)
+    n = max(len(a), len(b))
+    # int order is the s-major tuple order: highest axis first
+    assert (pack(a) < pack(b)) == (pad(a, n)[::-1] < pad(b, n)[::-1])
+    # the digit _exact_div reads on each axis is the tuple entry
+    for axis, e in enumerate(pad(a, n + 1)):
+        assert series._digits([pack(a), pack(b)], axis) == [e, pad(b, n + 1)[axis]]
+
+
+@given(exponent_keys(EXP_LIMIT // 2 - 1), exponent_keys(EXP_LIMIT // 2 - 1))
+@settings(max_examples=200, deadline=None)
+def test_packed_key_addition(a, b):
+    n = max(len(a), len(b))
+    assert pack(a) + pack(b) == pack(tuple(x + y for x, y in zip(pad(a, n), pad(b, n))))
+    assert -pack(a) == pack(tuple(-x for x in a))
+
+
+@given(laurent_polys(naxes=4, span=3, terms=4), exponent_keys(EXP_LIMIT // 4),
+       st.sampled_from([1, -1, 2]))
+@settings(max_examples=100, deadline=None)
+def test_exact_div_chains_over_four_axes(a, k, c):
+    # f = 1 + c*X**k canonical: k's top entry positive; numerators with
+    # 1 - c**2 X**(2k) make the chains walk across a gap
+    k = trim(k)
+    assume(k)
+    if k[-1] < 0:
+        k = tuple(-x for x in k)
+    f = LaurentPoly({(): 1, k: c})
+    g = LaurentPoly({(): 1, k: -c})
+    assert series._exact_div(a * f, f) == a
+    assert series._exact_div(a * f * g, f) == a * g
+    assert series._exact_div(a * f + 1, f) is None
+
+
+def test_packed_key_overflow_raises():
+    # an exponent of 2**31 or more must raise, never alias another key
+    assert LaurentPoly.var(0, EXP_LIMIT - 1).d == {(EXP_LIMIT - 1,): 1}
+    with pytest.raises(OverflowError):
+        LaurentPoly.var(0, 2 ** 31)
+    with pytest.raises(OverflowError):
+        LaurentPoly.term(1, (0, 0, -2 ** 31))
+    big = LaurentPoly.var(0, 2 ** 20)
+    assert (big ** (2 ** 11 - 1)).d == {(2 ** 31 - 2 ** 20,): 1}
+    with pytest.raises(OverflowError):
+        big ** (2 ** 12)
+    with pytest.raises(OverflowError):
+        (big + LaurentPoly.var(1, -2 ** 20)) ** (2 ** 11)
+    assert big.subs_power(2 ** 11 - 1).d == {(2 ** 31 - 2 ** 20,): 1}
+    with pytest.raises(OverflowError):
+        big.subs_power(2 ** 11)
+
+
+def test_decoded_view_is_read_only():
+    p = mono(3, (1, 0, 2)) + mono(-1, (0, -1))
+    assert p.d == {(1, 0, 2): 3, (0, -1): -1}
+    assert p.terms() == [((0, -1), -1), ((1, 0, 2), 3)]
+    with pytest.raises(TypeError):
+        p.d[(5,)] = 1
 
 
 @st.composite
