@@ -20,7 +20,7 @@ from . import fcoeff, ksum, nekrasov, vertex
 from .partitions import conjugate, normalize
 from .prodred import multiset_json, pair_multiset
 from .report import render_human, report_json, run_checks
-from .series import (LaurentFraction, LaurentPoly, coeff_json, expand_in_q,
+from .series import (LaurentFraction, LaurentPoly, coeff_json, expand_in_q_multi,
                      multiqseries_json, qseries_json, set_cache_limit)
 from .suites import SUITE_ORDER, build_suite
 
@@ -293,7 +293,7 @@ def cmd_compute(args) -> int:
                 if args.expand != "at_zero":
                     raise UsageError("the series form only expands at_zero in Q")
                 order = args.order if args.order is not None else 4
-                qs = expand_in_q(fr, order)
+                qs = expand_in_q_multi(fr, (order,))
                 params["expand"], params["order"] = args.expand, order
                 text, units, value = qseries_str(qs), "t", qseries_json(qs)
             else:

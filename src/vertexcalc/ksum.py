@@ -21,8 +21,7 @@ from .fcoeff import c_coeffs, f_pair
 from .partitions import all_partitions, conjugate, kappa, normalize, partitions_of, weight
 from .prodred import (bracket, diag_block_ratio, one_minus_qq, pair_multiset,
                       product_over, sinh_factor)
-from .series import (LaurentFraction, MultiQSeries, QSeries, expand_in_q,
-                     expand_in_q_multi, memo)
+from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo
 from .vertex import w1, w2, w3
 
 _K00_CACHE: dict = {}
@@ -34,31 +33,28 @@ def k_brute(mu1, mu2, trunc: int) -> MultiQSeries:
     """Sum over the middle partition, graded by its box count."""
     mu1 = normalize(mu1)
     mu2 = normalize(mu2)
-    coeffs = []
+    coeffs = {}
     for d in range(trunc + 1):
-        acc = LaurentFraction.zero()
-        for nu in partitions_of(d):
-            acc = acc + w2(mu1, nu) * w2(nu, mu2)
-        coeffs.append(acc)
-    return QSeries(trunc, coeffs)
+        coeffs[(d,)] = LaurentFraction.sum(w2(mu1, nu) * w2(nu, mu2) for nu in partitions_of(d))
+    return MultiQSeries((trunc,), coeffs)
 
 
 @memo(_K00_CACHE)
 def k00_closed(trunc: int) -> MultiQSeries:
     """Empty-pair series: exp of sum_n Q^n / (n (t^n - t^-n)^2)."""
-    arg = [LaurentFraction.zero()]
+    arg = {}
     for n in range(1, trunc + 1):
-        arg.append((bracket(n) ** -2).scale(Fraction(1, n)))
-    return QSeries(trunc, arg).exp()
+        arg[(n,)] = (bracket(n) ** -2).scale(Fraction(1, n))
+    return MultiQSeries((trunc,), arg).exp()
 
 
 def k_exp_closed(mu1, mu2, trunc: int) -> MultiQSeries:
     """Closed exp route: k00 * w1 * w1 * exp(sum Q^n f_pair(q^n) / n)."""
     fp = f_pair(mu1, mu2)
-    arg = [LaurentFraction.zero()]
+    arg = {}
     for n in range(1, trunc + 1):
-        arg.append(LaurentFraction.from_poly(fp.subs_power(n)).scale(Fraction(1, n)))
-    out = k00_closed(trunc) * QSeries(trunc, arg).exp()
+        arg[(n,)] = LaurentFraction.from_poly(fp.subs_power(n)).scale(Fraction(1, n))
+    out = k00_closed(trunc) * MultiQSeries((trunc,), arg).exp()
     return out.scale(w1(mu1) * w1(mu2))
 
 
@@ -66,7 +62,7 @@ def k_product_closed(mu1, mu2, trunc: int) -> MultiQSeries:
     """Closed product route through the coefficient table of f_pair."""
     exps = {k: -v for k, v in c_coeffs(mu1, mu2).items()}
     fr = product_over(exps, one_minus_qq) * w1(mu1) * w1(mu2)
-    return k00_closed(trunc) * expand_in_q(fr, trunc)
+    return k00_closed(trunc) * expand_in_q_multi(fr, (trunc,))
 
 
 def verify_thm_k(mu1, mu2, trunc: int) -> bool:
@@ -95,7 +91,7 @@ def hook_sinh_block(mu) -> LaurentFraction:
 def verify_thm_kt(mu1, mu2, trunc: int) -> bool:
     """Series route against the rational form, then the sinh normal form."""
     lhs = k_brute(mu1, conjugate(mu2), trunc)
-    rhs = k00_closed(trunc) * expand_in_q(k_transposed_rational(mu1, mu2), trunc)
+    rhs = k00_closed(trunc) * expand_in_q_multi(k_transposed_rational(mu1, mu2), (trunc,))
     if not lhs == rhs:
         return False
     w = weight(normalize(mu1)) + weight(normalize(mu2))
@@ -139,7 +135,7 @@ def verify_ksinh_series(mu1, mu2, trunc: int) -> bool:
     four = four.scale(Fraction(1, 16 ** w)).shift((0, -2 * w))
     kb = k_brute(mu1, conjugate(mu2), trunc)
     k0 = k00_closed(trunc)
-    return kb * kb == (k0 * k0) * expand_in_q(four, trunc)
+    return kb * kb == (k0 * k0) * expand_in_q_multi(four, (trunc,))
 
 
 def ktilde_brute(mus, dims) -> MultiQSeries:
@@ -156,17 +152,15 @@ def ktilde_brute(mus, dims) -> MultiQSeries:
     if len(dims) != n - 1:
         raise ValueError("need one truncation per chain variable")
     pools = [list(all_partitions(d)) for d in dims]
-    cells: dict = {}
+    terms: dict = {}
     for nus in itertools.product(*pools):
         chain = ((),) + nus + ((),)
         term = LaurentFraction.one()
         for k in range(1, n + 1):
             nu = chain[k]
             term = term * w3(chain[k - 1], mus[k - 1], conjugate(nu)).shift((kappa(nu),))
-        key = tuple(weight(nu) for nu in nus)
-        prev = cells.get(key)
-        cells[key] = term if prev is None else prev + term
-    return MultiQSeries(dims, cells)
+        terms.setdefault(tuple(weight(nu) for nu in nus), []).append(term)
+    return MultiQSeries(dims, {key: LaurentFraction.sum(ts) for key, ts in terms.items()})
 
 
 def verify_ktilde_pair_reduction(mu1, mu2, trunc: int) -> bool:

@@ -17,8 +17,7 @@ from .ksum import (hook_sinh_block, k00_chain_product, k00_closed, k_brute,
                    ktilde_brute, sun_square_fraction)
 from .partitions import all_partitions, conjugate, kappa, normalize, weight
 from .prodred import pair_multiset, product_over, sinh_factor
-from .series import (LaurentFraction, MultiQSeries, QSeries, expand_in_q,
-                     expand_in_q_multi)
+from .series import LaurentFraction, MultiQSeries, expand_in_q_multi
 
 
 def pair_sweep(bdeg: int):
@@ -55,17 +54,15 @@ def _framed_pair_square(mu1, mu2, m: int, fdeg: int) -> MultiQSeries:
 
 def z_su2(m: int, bdeg: int, fdeg: int) -> MultiQSeries:
     """Rank-2 sum over partition pairs, graded by (base, fiber) degree."""
-    cells: dict = {}
+    terms: dict = {}
     for mu1, mu2 in pair_sweep(bdeg):
         mu1 = normalize(mu1)
         mu2 = normalize(mu2)
         b = weight(mu1) + weight(mu2)
         ks = _framed_pair_square(mu1, mu2, m, fdeg)
         for (d,), val in ks.c.items():
-            key = (b, d)
-            prev = cells.get(key)
-            cells[key] = val if prev is None else prev + val
-    return MultiQSeries((bdeg, fdeg), cells)
+            terms.setdefault((b, d), []).append(val)
+    return MultiQSeries((bdeg, fdeg), {key: LaurentFraction.sum(ts) for key, ts in terms.items()})
 
 
 def z_su2_sinh_term(mu1, mu2, m: int) -> LaurentFraction:
@@ -96,14 +93,14 @@ def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
     agg = {b: MultiQSeries((fdeg,)) for b in range(bdeg + 1)}
     for mu1, mu2, fr in z_su2_sinh_side(m, bdeg):
         lhs = _framed_pair_square(mu1, mu2, m, fdeg)
-        rhs = k0sq * expand_in_q(fr, fdeg)
+        rhs = k0sq * expand_in_q_multi(fr, (fdeg,))
         if not lhs == rhs:
             return False
         b = weight(normalize(mu1)) + weight(normalize(mu2))
         agg[b] = agg[b] + rhs
     z = z_su2(m, bdeg, fdeg)
     for b in range(bdeg + 1):
-        zb = QSeries(fdeg, [z.get((b, d)) for d in range(fdeg + 1)])
+        zb = MultiQSeries((fdeg,), {(d,): z.get((b, d)) for d in range(fdeg + 1)})
         if not zb == agg[b]:
             return False
     return True

@@ -153,10 +153,8 @@ def principal_schur(mu) -> LaurentFraction:
 def principal_skew(lam, eta) -> LaurentFraction:
     lam = normalize(lam)
     eta = normalize(eta)
-    out = LaurentFraction.zero()
-    for nu, c in lr_coeffs(lam, eta).items():
-        out = out + principal_schur(nu).scale(c)
-    return out
+    return LaurentFraction.sum(principal_schur(nu).scale(c)
+                               for nu, c in lr_coeffs(lam, eta).items())
 
 
 @memo(_SAT_CACHE)
@@ -169,13 +167,9 @@ def schur_at_mu_rho(nu, mu) -> LaurentFraction:
     """
     nu = normalize(nu)
     mu = normalize(mu)
-    acc = LaurentFraction.zero()
-    for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu):
-        if not (contains(eta, mu) and contains(eta, nu)):
-            continue
-        term = principal_skew(mu, eta) * principal_skew(nu, eta)
-        if not term.is_zero():
-            acc = acc + term
+    acc = LaurentFraction.sum(principal_skew(mu, eta) * principal_skew(nu, eta)
+                              for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu)
+                              if contains(eta, mu) and contains(eta, nu))
     out = acc * principal_schur(mu).inv()
     return out.scale((-1) ** weight(nu)).shift((kappa(nu),))
 
@@ -186,10 +180,8 @@ def skew_at_mu_rho(lam, eta, mu) -> LaurentFraction:
     lam = normalize(lam)
     eta = normalize(eta)
     mu = normalize(mu)
-    out = LaurentFraction.zero()
-    for nu, c in lr_coeffs(lam, eta).items():
-        out = out + schur_at_mu_rho(nu, mu).scale(c)
-    return out
+    return LaurentFraction.sum(schur_at_mu_rho(nu, mu).scale(c)
+                               for nu, c in lr_coeffs(lam, eta).items())
 
 
 def verify_principal_against_finite(mu, deg: int) -> bool:

@@ -28,7 +28,8 @@ polynomial gcd: identical factors cancel syntactically, and each binomial
 factor 1 + v*X**k is divided out of the numerator exactly (synthetic
 division) whenever it divides.  The paper's identities are products of such
 binomials; a factor with more terms stays in the denominator, and equality
-stays exact because == cross-multiplies.
+stays exact because == cross-multiplies.  LaurentFraction.sum brings many
+terms over one lcm and reduces once, and a + b is its two-term case.
 """
 
 from __future__ import annotations
@@ -314,7 +315,10 @@ class LaurentPoly:
 
     def __hash__(self):
         if self._h is None:
-            self._h = hash(frozenset(self.d.items()))
+            if self._t.keys() <= {0}:
+                self._h = hash(self._t.get(0, 0))  # equal to a number, so hash as one
+            else:
+                self._h = hash(frozenset(self.d.items()))
         return self._h
 
     def __repr__(self):
@@ -497,21 +501,35 @@ class LaurentFraction:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum(cls, terms: Iterable[LaurentFraction]):
+        """Sum of fractions over the lcm of their denominators, reduced once.
+
+        Zero terms are dropped; a lone nonzero term is returned as it is.
+        The lcm's factors are tried in the order of one set grown in place
+        (for two terms, set(a.den) | set(b.den)): it decides which of two
+        overlapping binomials divides first, and so the rendered bytes.
+        """
+        terms = [t for t in terms if t.num._t]
+        if len(terms) < 2:
+            return terms[0] if terms else cls.zero()
+        factors = set(terms[0].den)
+        for t in terms[1:]:
+            factors |= set(t.den)
+        den = {f: max(t.den.get(f, 0) for t in terms) for f in factors}
+        acc: dict = {}
+        for t in terms:
+            missing = {f: e - t.den.get(f, 0) for f, e in den.items() if e > t.den.get(f, 0)}
+            for k, v in (t.num * _den_expand(missing))._t.items():
+                acc[k] = acc.get(k, 0) + v
+        num = LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v})
+        return cls._make(num, den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num._t:
-            return o
-        if not o.num._t:
-            return self
-        den: dict = {}
-        for f in set(self.den) | set(o.den):
-            den[f] = max(self.den.get(f, 0), o.den.get(f, 0))
-        ma = {f: e - self.den.get(f, 0) for f, e in den.items() if e > self.den.get(f, 0)}
-        mb = {f: e - o.den.get(f, 0) for f, e in den.items() if e > o.den.get(f, 0)}
-        num = self.num * _den_expand(ma) + o.num * _den_expand(mb)
-        return LaurentFraction._make(num, den)
+        return LaurentFraction.sum((self, o))
 
     __radd__ = __add__
 
@@ -668,6 +686,13 @@ def _cscale(x, c: Fraction):
     return _normval(x * c)
 
 
+def _coeff_sum(vals: list):
+    """One reduced sum of series coefficients; plain numbers add as numbers."""
+    if all(isinstance(v, (int, Fraction)) for v in vals):
+        return sum(vals, Fraction(0))
+    return LaurentFraction.sum([LaurentFraction._coerce(v) for v in vals])
+
+
 def _is_zero_coeff(x) -> bool:
     if isinstance(x, LaurentFraction):
         return x.is_zero()
@@ -696,6 +721,14 @@ class MultiQSeries:
                         cc[k] = v
         self.c = cc
 
+    @classmethod
+    def _of(cls, dims: tuple[int, ...], c: dict):
+        """Adopt c as the coefficients unchecked: keys inside the box, values nonzero."""
+        r = cls.__new__(cls)
+        r.dims = dims
+        r.c = c
+        return r
+
     def get(self, key):
         return self.c.get(tuple(key), Fraction(0))
 
@@ -714,9 +747,7 @@ class MultiQSeries:
                 out.pop(k, None)
             else:
                 out[k] = w
-        r = MultiQSeries(self.dims)
-        r.c = out
-        return r
+        return MultiQSeries._of(self.dims, out)
 
     def __sub__(self, other):
         if not isinstance(other, MultiQSeries):
@@ -727,25 +758,17 @@ class MultiQSeries:
         if not isinstance(other, MultiQSeries):
             return NotImplemented
         self._check(other)
-        out: dict = {}
+        parts: dict = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
                 kk = tuple(a + b for a, b in zip(k1, k2))
-                if any(x > d for x, d in zip(kk, self.dims)):
-                    continue
-                w = out.get(kk, Fraction(0)) + v1 * v2
-                if _is_zero_coeff(w):
-                    out.pop(kk, None)
-                else:
-                    out[kk] = w
-        r = MultiQSeries(self.dims)
-        r.c = out
-        return r
+                if not any(x > d for x, d in zip(kk, self.dims)):
+                    parts.setdefault(kk, []).append(v1 * v2)
+        out = {kk: _coeff_sum(vs) for kk, vs in parts.items()}
+        return MultiQSeries._of(self.dims, {k: v for k, v in out.items() if not _is_zero_coeff(v)})
 
     def scale(self, x):
-        r = MultiQSeries(self.dims)
-        r.c = {k: x * v for k, v in self.c.items()}
-        return r
+        return MultiQSeries._of(self.dims, {k: x * v for k, v in self.c.items()})
 
     def shift(self, key):
         """Multiply by the Q monomial with exponent key, dropping terms that
@@ -773,16 +796,15 @@ class MultiQSeries:
         for k in itertools.product(*(range(d + 1) for d in self.dims)):
             if k == origin:
                 continue
-            acc = Fraction(0)
+            parts = []
             for j, ja in terms:
                 prev = e.get(tuple(b - a for a, b in zip(j, k)))
                 if prev is not None:
-                    acc = acc + ja * prev
+                    parts.append(ja * prev)
+            acc = _coeff_sum(parts)
             if not _is_zero_coeff(acc):
                 e[k] = _cscale(acc, Fraction(1, sum(k)))
-        r = MultiQSeries(self.dims)
-        r.c = e
-        return r
+        return MultiQSeries._of(self.dims, e)
 
     def __eq__(self, other):
         if not isinstance(other, MultiQSeries):
@@ -955,16 +977,16 @@ def _expand_cells(fr: LaurentFraction, naxes: int, qdims) -> dict:
         if any(v < 0 for v in sv) or not any(sv):
             raise ValueError("denominator binomial must raise the Q degree")
         bins.append((_digit0(other), sv, -f._t[other], e))
-    cells: dict = {}
+    parts: dict = {}
     for k, v in fr.num._t.items():
         sv = _svec(unpack(k), naxes)
         if any(a > b for a, b in zip(sv, hi)):
             continue
         tp = LaurentFraction._make(LaurentPoly._of({_digit0(k): v}), dict(pure))
-        prev = cells.get(sv)
-        cells[sv] = tp if prev is None else prev + tp
+        parts.setdefault(sv, []).append(tp)
+    cells = {w: LaurentFraction.sum(ts) for w, ts in parts.items()}
     for texp, sv, base, g in bins:
-        out: dict = {}
+        parts = {}
         for w, val in cells.items():
             j = 0
             while True:
@@ -974,12 +996,11 @@ def _expand_cells(fr: LaurentFraction, naxes: int, qdims) -> dict:
                 if not any(x > h for x, h in zip(ww, hi)):
                     coef = math.comb(g - 1 + j, j) * base ** j
                     term = val.scale(coef).shift((texp * j,)) if j else val
-                    prev = out.get(ww)
-                    out[ww] = term if prev is None else prev + term
+                    parts.setdefault(ww, []).append(term)
                 if not any(sv):
                     break
                 j += 1
-        cells = {w: v for w, v in out.items() if not v.is_zero()}
+        cells = {w: LaurentFraction.sum(ts) for w, ts in parts.items()}
     return cells
 
 

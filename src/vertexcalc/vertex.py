@@ -56,11 +56,9 @@ def w2_skew(mu, nu) -> LaurentFraction:
     """Manifestly symmetric skew-sum route to the two-leg amplitude."""
     mu = normalize(mu)
     nu = normalize(nu)
-    acc = LaurentFraction.zero()
-    for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu):
-        if not (contains(eta, mu) and contains(eta, nu)):
-            continue
-        acc = acc + principal_skew(mu, eta) * principal_skew(nu, eta)
+    acc = LaurentFraction.sum(principal_skew(mu, eta) * principal_skew(nu, eta)
+                              for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu)
+                              if contains(eta, mu) and contains(eta, nu))
     sign = (-1) ** (weight(mu) + weight(nu))
     return acc.scale(sign).shift((kappa(mu) + kappa(nu),))
 
@@ -73,13 +71,9 @@ def w3(mu1, mu2, mu3) -> LaurentFraction:
     mu3 = normalize(mu3)
     m2t = conjugate(mu2)
     m3t = conjugate(mu3)
-    acc = LaurentFraction.zero()
-    for eta in subpartitions(mu1 if weight(mu1) <= weight(m3t) else m3t):
-        if not (contains(eta, mu1) and contains(eta, m3t)):
-            continue
-        term = skew_at_mu_rho(mu1, eta, m2t) * skew_at_mu_rho(m3t, eta, mu2)
-        if not term.is_zero():
-            acc = acc + term
+    acc = LaurentFraction.sum(skew_at_mu_rho(mu1, eta, m2t) * skew_at_mu_rho(m3t, eta, mu2)
+                              for eta in subpartitions(mu1 if weight(mu1) <= weight(m3t) else m3t)
+                              if contains(eta, mu1) and contains(eta, m3t))
     out = acc * principal_schur(m2t)
     return out.scale((-1) ** weight(mu2)).shift((kappa(mu3),))
 
@@ -91,20 +85,14 @@ def w3_def(mu1, mu2, mu3) -> LaurentFraction:
     mu3 = normalize(mu3)
     m2t = conjugate(mu2)
     m3t = conjugate(mu3)
-    acc = LaurentFraction.zero()
+    terms = []
     for eta in subpartitions(mu1 if weight(mu1) <= weight(m3t) else m3t):
         if not (contains(eta, mu1) and contains(eta, m3t)):
             continue
-        left = LaurentFraction.zero()
-        for rho, c in lr_coeffs(mu1, eta).items():
-            left = left + w2(m2t, rho).scale(c)
-        right = LaurentFraction.zero()
-        for sig, c in lr_coeffs(m3t, eta).items():
-            right = right + w2(mu2, sig).scale(c)
-        term = left * right
-        if not term.is_zero():
-            acc = acc + term
-    out = acc * w1(mu2).inv()
+        left = LaurentFraction.sum(w2(m2t, rho).scale(c) for rho, c in lr_coeffs(mu1, eta).items())
+        right = LaurentFraction.sum(w2(mu2, sig).scale(c) for sig, c in lr_coeffs(m3t, eta).items())
+        terms.append(left * right)
+    out = LaurentFraction.sum(terms) * w1(mu2).inv()
     return out.shift((kappa(mu2) + kappa(mu3),))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from vertexcalc import partitions, prodred, series
+from vertexcalc import ksum, nekrasov, partitions, prodred, schur, series, vertex
 from vertexcalc.cli import main
 
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
@@ -36,9 +36,10 @@ def clear_memo_tables():
 
 @pytest.fixture
 def mutate(monkeypatch):
-    """Rebind module.name to a mutant wherever a vertexcalc module holds it."""
-    def install(module, name, mutant):
-        original = getattr(module, name)
+    """Rebind owner.name to a mutant, and wherever a vertexcalc module holds it."""
+    def install(owner, name, mutant):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, mutant)
         for mod in vertexcalc_modules():
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, mutant)
@@ -80,7 +81,7 @@ def compute_pin_drift(capsys):
 
 
 def test_unmutated_tiny_suites_pass(tmp_path, capsys):
-    for suite in ("partitions", "prodred"):
+    for suite in ("partitions", "prodred", "schur", "vertex", "k", "nekrasov-su2"):
         assert tiny_failures(suite, tmp_path, capsys) == 0
 
 
@@ -101,3 +102,39 @@ def test_bracket_wrong_sign_is_caught(mutate, tmp_path, capsys):
     bracket = prodred.bracket
     mutate(prodred, "bracket", lambda m: bracket(m).scale(-1))
     assert tiny_failures("prodred", tmp_path, capsys) > 0
+
+
+def test_sum_dropping_its_last_term_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(series.LaurentFraction.sum,
+                           "terms = [t for t in terms if t.num._t]",
+                           "terms = [t for t in terms if t.num._t][:-1]")
+    mutate(series.LaurentFraction, "sum", mutant)
+    assert tiny_failures("schur", tmp_path, capsys) > 0
+
+
+def test_schur_background_sum_without_empty_shape_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(schur.schur_at_mu_rho, "if contains(eta, mu) and contains(eta, nu))",
+                           "if eta and contains(eta, mu) and contains(eta, nu))")
+    mutate(schur, "schur_at_mu_rho", mutant)
+    assert tiny_failures("schur", tmp_path, capsys) > 0
+
+
+def test_w3_sum_without_empty_shape_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(vertex.w3, "if contains(eta, mu1) and contains(eta, m3t))",
+                           "if eta and contains(eta, mu1) and contains(eta, m3t))")
+    mutate(vertex, "w3", mutant)
+    assert tiny_failures("vertex", tmp_path, capsys) > 0
+
+
+def test_k_brute_missing_a_middle_partition_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(ksum.k_brute, "for nu in partitions_of(d))",
+                           "for nu in list(partitions_of(d))[:-1])")
+    mutate(ksum, "k_brute", mutant)
+    assert tiny_failures("k", tmp_path, capsys) > 0
+
+
+def test_z_su2_grading_by_one_weight_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(nekrasov.z_su2, "terms.setdefault((b, d), [])",
+                           "terms.setdefault((weight(mu1), d), [])")
+    mutate(nekrasov, "z_su2", mutant)
+    assert tiny_failures("nekrasov-su2", tmp_path, capsys) > 0

@@ -99,7 +99,9 @@ def kernel(case) -> LaurentFraction:
     for c, k in top:
         fr = fr * LaurentPoly({(): 1, k: c})
     for c, k, e in den:
-        fr = fr / LaurentFraction.from_poly(LaurentPoly({(): 1, k: c})) ** e
+        # inverting before the power keeps the binomial as a factor of
+        # exponent e; dividing by binomial**e would divide by its expansion
+        fr = fr * LaurentFraction.from_poly(LaurentPoly({(): 1, k: c})).inv() ** e
     return fr
 
 
@@ -127,6 +129,17 @@ def test_sum_and_product_match_sympy(a, b):
     assert same(fa + fb, (ladd(lmul(pa, qb), lmul(pb, qa)), q))
     assert same(fa - fb, (ladd(lmul(pa, qb), lmul(pb, qa), -1), q))
     assert same(fa * fb, (lmul(pa, pb), q))
+
+
+@given(st.lists(cases(), max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_many_term_sum_matches_sympy(cs):
+    # sum P_i / Q_i = (sum_i P_i * prod_{j != i} Q_j) / prod_j Q_j
+    refs = [reference(c) for c in cs]
+    p = laurent({})
+    for i, (pi, _) in enumerate(refs):
+        p = ladd(p, lmul(pi, *(q for j, (_, q) in enumerate(refs) if j != i)))
+    assert same(LaurentFraction.sum([kernel(c) for c in cs]), (p, lmul(*(q for _, q in refs))))
 
 
 @given(cases())

@@ -186,6 +186,28 @@ def test_fraction_field_identities():
     assert x + y == (one + one) / (one - t ** 2)
 
 
+def test_fraction_sum_edges():
+    one = LaurentFraction.one()
+    t = LaurentFraction.monomial(1, (1,))
+    a = t / (one - t ** 2)
+    assert LaurentFraction.sum([]).is_zero()
+    assert LaurentFraction.sum([a]) is a
+    assert LaurentFraction.sum([LaurentFraction.zero(), a, LaurentFraction.zero()]) is a
+    for zero in (LaurentFraction.sum([a, -a]), a + (-a)):
+        assert zero.is_zero() and zero.den == {}
+    # four terms over one lcm of overlapping binomials, reduced once
+    b = one / (one - t)
+    assert LaurentFraction.sum([a, t ** 2 / (one - t ** 2), -b * t, b]) == b
+
+
+def test_constant_poly_hashes_as_its_number():
+    assert {3: 'a'}.get(LaurentPoly.const(3)) == 'a'
+    assert LaurentPoly.const(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert hash(LaurentPoly.zero()) == hash(0)
+    p = LaurentPoly({(): 1, (1,): -1})
+    assert hash(p) == hash(frozenset(p.d.items()))
+
+
 def test_fold_axes_rejects_degenerate_factor():
     t = LaurentFraction.monomial(1, (1,))
     s = LaurentFraction.monomial(1, (0, 1))
