@@ -505,11 +505,15 @@ class LaurentFraction:
     def sum(cls, terms: Iterable[LaurentFraction]):
         """Sum of fractions over the lcm of their denominators, reduced once.
 
-        Zero terms are dropped; a lone nonzero term is returned as it is.
-        The lcm's factors are tried in the order of one set grown in place
-        (for two terms, set(a.den) | set(b.den)): it decides which of two
+        Terms may also be ints, Fractions or LaurentPolys, as for +.  Zero
+        terms are dropped; a lone nonzero term is returned as it is.  The
+        lcm's factors are tried in the order of one set grown in place (for
+        two terms, set(a.den) | set(b.den)): it decides which of two
         overlapping binomials divides first, and so the rendered bytes.
         """
+        terms = [cls._coerce(t) for t in terms]
+        if any(t is None for t in terms):
+            raise TypeError("LaurentFraction.sum takes fractions, polynomials and numbers")
         terms = [t for t in terms if t.num._t]
         if len(terms) < 2:
             return terms[0] if terms else cls.zero()
@@ -690,7 +694,7 @@ def _coeff_sum(vals: list):
     """One reduced sum of series coefficients; plain numbers add as numbers."""
     if all(isinstance(v, (int, Fraction)) for v in vals):
         return sum(vals, Fraction(0))
-    return LaurentFraction.sum([LaurentFraction._coerce(v) for v in vals])
+    return LaurentFraction.sum(vals)
 
 
 def _is_zero_coeff(x) -> bool:
@@ -1000,7 +1004,8 @@ def _expand_cells(fr: LaurentFraction, naxes: int, qdims) -> dict:
                 if not any(sv):
                     break
                 j += 1
-        cells = {w: LaurentFraction.sum(ts) for w, ts in parts.items()}
+        sums = {w: LaurentFraction.sum(ts) for w, ts in parts.items()}
+        cells = {w: v for w, v in sums.items() if not v.is_zero()}
     return cells
 
 

@@ -67,18 +67,21 @@ def binomials(draw, naxes):
 
 @st.composite
 def cases(draw, naxes=2):
-    """(num, num_factors, den_factors) with den_factors as (c, k, e).
+    """(num, num_factors, den_factors) with den_factors as (c, k, e, whole).
 
+    A factor with whole set is built as binomial**e, whose expansion is one
+    factor of three or more terms that stays in the denominator; otherwise
+    as binomial.inv()**e, which keeps the binomial as a factor of exponent e.
     The numerator is a small polynomial times some binomials; it may also
     take 1 - c**2 X**(2k) for a denominator factor 1 + c X**k, so that
     division has to walk across a gap.
     """
     keys = st.tuples(*[st.integers(-2, 2)] * naxes)
     num = draw(st.dictionaries(keys, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
-    den = [(c, k, draw(st.integers(1, 2)))
+    den = [(c, k, draw(st.integers(1, 2)), draw(st.booleans()))
            for c, k in draw(st.lists(binomials(naxes), max_size=3))]
     top = draw(st.lists(binomials(naxes), max_size=2))
-    for c, k, _ in den:
+    for c, k, *_ in den:
         if draw(st.booleans()):
             top.append((c, k))
         if draw(st.booleans()):
@@ -90,7 +93,7 @@ def remap(case, fn):
     """The case with every exponent key sent through fn."""
     num, top, den = case
     return ({fn(k): v for k, v in num.items()}, [(c, fn(k)) for c, k in top],
-            [(c, fn(k), e) for c, k, e in den])
+            [(c, fn(k), *rest) for c, k, *rest in den])
 
 
 def kernel(case) -> LaurentFraction:
@@ -98,10 +101,9 @@ def kernel(case) -> LaurentFraction:
     fr = LaurentFraction.from_poly(LaurentPoly(num))
     for c, k in top:
         fr = fr * LaurentPoly({(): 1, k: c})
-    for c, k, e in den:
-        # inverting before the power keeps the binomial as a factor of
-        # exponent e; dividing by binomial**e would divide by its expansion
-        fr = fr * LaurentFraction.from_poly(LaurentPoly({(): 1, k: c})).inv() ** e
+    for c, k, e, whole in den:
+        b = LaurentFraction.from_poly(LaurentPoly({(): 1, k: c}))
+        fr = fr / b ** e if whole else fr * b.inv() ** e
     return fr
 
 
@@ -109,7 +111,7 @@ def reference(case):
     """(P, Q): numerator and denominator as Laurent pairs."""
     num, top, den = case
     p = lmul(laurent(num), *(binomial(c, k) for c, k in top))
-    return p, lmul(*(lpow(binomial(c, k), e) for c, k, e in den))
+    return p, lmul(*(lpow(binomial(c, k), e) for c, k, e, _ in den))
 
 
 def same(fr: LaurentFraction, ref) -> bool:
@@ -169,6 +171,6 @@ def test_expand_at_zero_matches_sympy(a, deg):
     expr = sp.Add(*(v * T ** k[0] for k, v in num.items()))
     for c, (k,) in top:
         expr *= 1 + sp.Rational(c) * T ** k
-    for c, (k,), e in den:
+    for c, (k,), e, _ in den:
         expr /= (1 + sp.Rational(c) * T ** k) ** e
     assert kernel(a).expand_at_zero(deg) == series_coeffs(expr, deg)

@@ -198,6 +198,11 @@ def test_fraction_sum_edges():
     # four terms over one lcm of overlapping binomials, reduced once
     b = one / (one - t)
     assert LaurentFraction.sum([a, t ** 2 / (one - t ** 2), -b * t, b]) == b
+    # numbers and polynomials are coerced, as for +
+    p = LaurentPoly({(1,): 1})
+    assert LaurentFraction.sum([a, 1, Fraction(1, 2), p]) == a + 1 + Fraction(1, 2) + p
+    with pytest.raises(TypeError):
+        LaurentFraction.sum([a, "1"])
 
 
 def test_constant_poly_hashes_as_its_number():
