@@ -61,6 +61,17 @@ def _mono_str(key, units: str, naxes: int) -> str:
     return "*".join(parts)
 
 
+def _term_str(c, m: str) -> str:
+    """One term: coefficient c times the monomial text m, empty for a constant."""
+    if not m:
+        return str(c)
+    if c == 1:
+        return m
+    if c == -1:
+        return "-" + m
+    return f"{c}*{m}"
+
+
 def _join_terms(terms) -> str:
     out = terms[0]
     for s in terms[1:]:
@@ -74,22 +85,8 @@ def poly_str(p: LaurentPoly, units: str | None = None) -> str:
     naxes = max(max((len(k) for k in p.d), default=1), 1)
     if units is None:
         units = "q" if _even_keys(p.d) else "t"
-    keys = sorted(p.d, key=lambda k: tuple(reversed([k[i] if i < len(k) else 0
-                                                     for i in range(naxes)])),
-                  reverse=True)
-    terms = []
-    for k in keys:
-        c = Fraction(p.d[k])
-        m = _mono_str(k, units, naxes)
-        if not m:
-            terms.append(str(c))
-        elif c == 1:
-            terms.append(m)
-        elif c == -1:
-            terms.append("-" + m)
-        else:
-            terms.append(f"{c}*{m}")
-    return _join_terms(terms)
+    return _join_terms([_term_str(c, _mono_str(k, units, naxes))
+                        for k, c in reversed(p.terms())])
 
 
 def fraction_str(fr: LaurentFraction) -> tuple[str, str]:
@@ -137,16 +134,7 @@ def expansion_str(table: dict, mode: str, order: int) -> tuple[str, str]:
         ee = e // 2 if units == "q" else e
         if mode == "at_infinity":
             ee = -ee
-        if ee == 0:
-            terms.append(str(c))
-            continue
-        m = name if ee == 1 else f"{name}^{ee}"
-        if c == 1:
-            terms.append(m)
-        elif c == -1:
-            terms.append("-" + m)
-        else:
-            terms.append(f"{c}*{m}")
+        terms.append(_term_str(c, "" if ee == 0 else name if ee == 1 else f"{name}^{ee}"))
     cut = order + 1 if units == "t" else order // 2 + 1
     if mode == "at_infinity":
         cut = -cut

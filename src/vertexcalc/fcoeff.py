@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .partitions import conjugate, contents, kappa, normalize, weight
 from .prodred import pair_multiset
-from .series import LaurentFraction, LaurentPoly
+from .series import LaurentFraction, LaurentPoly, same
 
 
 def f_one(mu) -> LaurentPoly:
@@ -141,26 +141,27 @@ def f_pair_2var_transposed(mu1, mu2) -> LaurentFraction:
 
 def verify_pair_conjugation(mu1, mu2) -> bool:
     """Transposing both partitions inverts q."""
-    return f_pair(conjugate(mu1), conjugate(mu2)) == f_pair(mu1, mu2).invert_vars()
+    return same(f_pair(conjugate(mu1), conjugate(mu2)), f_pair(mu1, mu2).invert_vars())
 
 
 def verify_coeff_sums(mu1, mu2) -> bool:
     cs = c_coeffs(mu1, mu2)
-    if sum(cs.values()) != weight(normalize(mu1)) + weight(normalize(mu2)):
-        return False
-    return 2 * sum(k * v for k, v in cs.items()) == kappa(normalize(mu1)) + kappa(normalize(mu2))
+    mu1 = normalize(mu1)
+    mu2 = normalize(mu2)
+    same(sum(cs.values()), weight(mu1) + weight(mu2))
+    return same(2 * sum(k * v for k, v in cs.items()), kappa(mu1) + kappa(mu2))
 
 
 def verify_multiset_rebuild(mu1, mu2) -> bool:
     """f_pair of (mu1, conjugate(mu2)) against the pair multiset, termwise."""
     pm = pair_multiset(mu1, mu2)
     rebuilt = LaurentPoly({(2 * m,): -c for m, c in pm.items()})
-    return rebuilt == f_pair(mu1, conjugate(mu2))
+    return same(rebuilt, f_pair(mu1, conjugate(mu2)))
 
 
 def verify_2var_transposed(mu1, mu2) -> bool:
-    return f_pair_2var_transposed(mu1, mu2) == f_pair_2var(mu1, conjugate(mu2))
+    return same(f_pair_2var_transposed(mu1, mu2), f_pair_2var(mu1, conjugate(mu2)))
 
 
 def verify_2var_diagonal(mu1, mu2) -> bool:
-    return f_pair_2var(mu1, mu2).fold_axes() == LaurentFraction.from_poly(f_pair(mu1, mu2))
+    return same(f_pair_2var(mu1, mu2).fold_axes(), LaurentFraction.from_poly(f_pair(mu1, mu2)))

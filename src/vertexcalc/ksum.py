@@ -21,7 +21,7 @@ from .fcoeff import c_coeffs, f_pair
 from .partitions import all_partitions, conjugate, kappa, normalize, partitions_of, weight
 from .prodred import (bracket, diag_block_ratio, one_minus_qq, pair_multiset,
                       product_over, sinh_factor)
-from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo
+from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
 from .vertex import w1, w2, w3
 
 _K00_CACHE: dict = {}
@@ -68,8 +68,8 @@ def k_product_closed(mu1, mu2, trunc: int) -> MultiQSeries:
 def verify_thm_k(mu1, mu2, trunc: int) -> bool:
     """Brute, exp and product routes agree coefficientwise."""
     brute = k_brute(mu1, mu2, trunc)
-    return (brute == k_exp_closed(mu1, mu2, trunc)
-            and brute == k_product_closed(mu1, mu2, trunc))
+    same(brute, k_exp_closed(mu1, mu2, trunc))
+    return same(brute, k_product_closed(mu1, mu2, trunc))
 
 
 def k_transposed_rational(mu1, mu2) -> LaurentFraction:
@@ -88,18 +88,32 @@ def hook_sinh_block(mu) -> LaurentFraction:
     return diag_block_ratio(mu, lambda m: sinh_factor(m, ()))
 
 
+def four_block_sinh(mu1, mu2) -> LaurentFraction:
+    """Sinh side of the squared transposed-pair identity.
+
+    Both hook blocks times the squared off-diagonal block, over 16**w and
+    s**(2w) with w = |mu1| + |mu2|.  The squared-sinh and rank-2 checks
+    all compare against this one fraction.
+    """
+    mu1 = normalize(mu1)
+    mu2 = normalize(mu2)
+    w = weight(mu1) + weight(mu2)
+    block = product_over(pair_multiset(mu1, mu2), sinh_factor)
+    four = hook_sinh_block(mu1) * hook_sinh_block(mu2) * block ** 2
+    return four.scale(Fraction(1, 16 ** w)).shift((0, -2 * w))
+
+
 def verify_thm_kt(mu1, mu2, trunc: int) -> bool:
     """Series route against the rational form, then the sinh normal form."""
     lhs = k_brute(mu1, conjugate(mu2), trunc)
     rhs = k00_closed(trunc) * expand_in_q_multi(k_transposed_rational(mu1, mu2), (trunc,))
-    if not lhs == rhs:
-        return False
+    same(lhs, rhs)
     w = weight(normalize(mu1)) + weight(normalize(mu2))
     ks = (kappa(normalize(mu1)) - kappa(normalize(mu2))) // 2
     pm = pair_multiset(mu1, mu2)
     binom = product_over(pm, one_minus_qq)
     sinh = product_over(pm, sinh_factor).scale(Fraction(1, 2 ** w)).shift((-ks, -w))
-    return binom == sinh
+    return same(binom, sinh)
 
 
 def verify_cor_ik2_and_ksinh(mu1, mu2) -> bool:
@@ -118,24 +132,15 @@ def verify_cor_ik2_and_ksinh(mu1, mu2) -> bool:
     block = product_over(pm, sinh_factor)
     sq = product_over(pm, one_minus_qq) ** 2
     ik2 = (block ** 2).scale(Fraction(1, 4 ** w)).shift((-kdiff, -2 * w))
-    if not sq == ik2:
-        return False
-    kt2 = k_transposed_rational(mu1, mu2) ** 2
-    four = hook_sinh_block(mu1) * hook_sinh_block(mu2) * block ** 2
-    return kt2 == four.scale(Fraction(1, 16 ** w)).shift((0, -2 * w))
+    same(sq, ik2)
+    return same(k_transposed_rational(mu1, mu2) ** 2, four_block_sinh(mu1, mu2))
 
 
 def verify_ksinh_series(mu1, mu2, trunc: int) -> bool:
     """Squared brute series against the expanded four-block fraction."""
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
-    w = weight(mu1) + weight(mu2)
-    block = product_over(pair_multiset(mu1, mu2), sinh_factor)
-    four = hook_sinh_block(mu1) * hook_sinh_block(mu2) * block ** 2
-    four = four.scale(Fraction(1, 16 ** w)).shift((0, -2 * w))
     kb = k_brute(mu1, conjugate(mu2), trunc)
     k0 = k00_closed(trunc)
-    return kb * kb == (k0 * k0) * expand_in_q_multi(four, (trunc,))
+    return same(kb * kb, (k0 * k0) * expand_in_q_multi(four_block_sinh(mu1, mu2), (trunc,)))
 
 
 def ktilde_brute(mus, dims) -> MultiQSeries:
@@ -167,7 +172,7 @@ def verify_ktilde_pair_reduction(mu1, mu2, trunc: int) -> bool:
     """Two-link chains collapse to the transposed pair series."""
     kt = ktilde_brute([mu1, mu2], (trunc,))
     mono = LaurentFraction.monomial(1, (kappa(normalize(mu2)),))
-    return kt == k_brute(mu1, conjugate(mu2), trunc).scale(mono)
+    return same(kt, k_brute(mu1, conjugate(mu2), trunc).scale(mono))
 
 
 def _ray_key(naxes: int, k: int, l: int, val: int) -> tuple[int, ...]:
@@ -216,7 +221,7 @@ def kgen_closed(mus, dims) -> MultiQSeries:
 
 
 def verify_thm_kgen(mus, dims) -> bool:
-    return ktilde_brute(mus, dims) == kgen_closed(mus, dims)
+    return same(ktilde_brute(mus, dims), kgen_closed(mus, dims))
 
 
 def sun_square_fraction(mus, naxes: int) -> LaurentFraction:
@@ -253,4 +258,4 @@ def verify_sun_squares(mus, dims) -> bool:
     kt = ktilde_brute(mus, dims)
     k0 = k00_chain_product(dims, n)
     rhs = (k0 * k0) * expand_in_q_multi(sun_square_fraction(mus, len(dims)), dims)
-    return kt * kt == rhs
+    return same(kt * kt, rhs)

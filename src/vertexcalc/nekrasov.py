@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .ksum import (hook_sinh_block, k00_chain_product, k00_closed, k_brute,
+from .ksum import (four_block_sinh, k00_chain_product, k00_closed, k_brute,
                    ktilde_brute, sun_square_fraction)
-from .partitions import all_partitions, conjugate, kappa, normalize, weight
-from .prodred import pair_multiset, product_over, sinh_factor
-from .series import LaurentFraction, MultiQSeries, expand_in_q_multi
+from .partitions import all_partitions, conjugate, kappa, normalize, partitions_of, weight
+from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, same
 
 
 def pair_sweep(bdeg: int):
@@ -27,6 +26,13 @@ def pair_sweep(bdeg: int):
         for b in all_partitions(bdeg - weight(a)):
             out.append((a, b))
     return out
+
+
+def pair_layer(total: int):
+    """The pairs of pair_sweep(total) whose weight sum is exactly total, in its order."""
+    for a in all_partitions(total):
+        for b in partitions_of(total - weight(a)):
+            yield a, b
 
 
 def tuple_sweep(n: int, bdeg: int):
@@ -73,12 +79,9 @@ def z_su2_sinh_term(mu1, mu2, m: int) -> LaurentFraction:
     """
     mu1 = normalize(mu1)
     mu2 = normalize(mu2)
-    w = weight(mu1) + weight(mu2)
-    block = product_over(pair_multiset(mu1, mu2), sinh_factor)
-    fr = hook_sinh_block(mu1) * hook_sinh_block(mu2) * block ** 2
-    sgn = (-1) ** (m * w)
-    return fr.scale(Fraction(sgn, 16 ** w)).shift(
-        (-m * (kappa(mu1) + kappa(mu2)), 2 * m * weight(mu2) - 2 * w))
+    sgn = (-1) ** (m * (weight(mu1) + weight(mu2)))
+    return four_block_sinh(mu1, mu2).scale(sgn).shift(
+        (-m * (kappa(mu1) + kappa(mu2)), 2 * m * weight(mu2)))
 
 
 def z_su2_sinh_side(m: int, bdeg: int):
@@ -94,15 +97,13 @@ def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
     for mu1, mu2, fr in z_su2_sinh_side(m, bdeg):
         lhs = _framed_pair_square(mu1, mu2, m, fdeg)
         rhs = k0sq * expand_in_q_multi(fr, (fdeg,))
-        if not lhs == rhs:
-            return False
+        same(lhs, rhs)
         b = weight(normalize(mu1)) + weight(normalize(mu2))
         agg[b] = agg[b] + rhs
     z = z_su2(m, bdeg, fdeg)
     for b in range(bdeg + 1):
         zb = MultiQSeries((fdeg,), {(d,): z.get((b, d)) for d in range(fdeg + 1)})
-        if not zb == agg[b]:
-            return False
+        same(zb, agg[b])
     return True
 
 
@@ -111,15 +112,12 @@ def verify_fiber_swap(bdeg: int, fdeg: int) -> bool:
     for b in range(bdeg + 1):
         plain = MultiQSeries((fdeg,))
         swapped = MultiQSeries((fdeg,))
-        for mu1, mu2 in pair_sweep(bdeg):
-            if weight(mu1) + weight(mu2) != b:
-                continue
+        for mu1, mu2 in pair_layer(b):
             p = k_brute(mu1, mu2, fdeg)
             s = k_brute(mu1, conjugate(mu2), fdeg)
             plain = plain + p * p
             swapped = swapped + s * s
-        if not plain == swapped:
-            return False
+        same(plain, swapped)
     return True
 
 
@@ -171,17 +169,17 @@ def sun_tuple_identity(n: int, mus, dims) -> bool:
     fr = sun_square_fraction(mus, len(dims)) * framing
     k0 = k00_chain_product(dims, n)
     rhs = (k0 * k0) * expand_in_q_multi(fr, dims)
-    return lhs == rhs
+    return same(lhs, rhs)
 
 
 def z_sun(n: int, bdeg: int, dims) -> dict:
     """Rank-n framed chain sum at twist zero, checked per tuple.
 
     For every tuple the framed squared chain series is matched against
-    the expanded sinh-block normal form (asserted).  The residual
-    monomial is then factored through the weight-one slot monomials
-    times the kappa ladder; the outcome of that decomposition is
-    reported, not asserted.
+    the expanded sinh-block normal form, and a mismatch raises Mismatch.
+    The residual monomial is then factored through the weight-one slot
+    monomials times the kappa ladder; the outcome of that decomposition
+    is reported, not asserted.
     """
     dims = tuple(dims)
     if len(dims) != n - 1:
@@ -224,4 +222,4 @@ def verify_sun_pair_consistency(mu1, mu2, trunc: int) -> bool:
     m0 = LaurentFraction.monomial(1, (-2 * kappa(mu2),))
     lhs = (kt * kt).scale(m0)
     kb = k_brute(mu1, conjugate(mu2), trunc)
-    return lhs == kb * kb
+    return same(lhs, kb * kb)

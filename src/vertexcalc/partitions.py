@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .series import LaurentPoly
+from .series import LaurentPoly, same
 
 
 def normalize(mu: Iterable[int]) -> tuple[int, ...]:
@@ -124,5 +124,4 @@ def hook_pair_sum_sides(mu, n: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def verify_hook_identity(mu, n: int) -> bool:
-    lhs, rhs = hook_pair_sum_sides(mu, n)
-    return lhs == rhs
+    return same(*hook_pair_sum_sides(mu, n))

@@ -1,6 +1,9 @@
 """Check scheduling and deterministic reports.
 
-A Check is a named, lazily evaluated verification instance.  Results
+A Check is a named, lazily evaluated verification instance.  Its function
+states each identity as series.same(lhs, rhs) and passes by returning
+normally; a failing check carries a witness, the first key where the two
+sides differ, and a passing one none, so the reports stay fixed.  Results
 keep per-check wall time for the human table, but the JSON report
 contains no timing, so fixed parameters give byte-identical files no
 matter how many worker threads ran the sweep.
@@ -15,6 +18,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from . import __version__
+from .series import Mismatch
 
 
 @dataclass
@@ -34,17 +38,24 @@ class CheckResult:
 
 
 def _run_one(chk: Check) -> CheckResult:
+    """Run one check.  It passes only by returning None, True or an info string.
+
+    A Mismatch fails it with the comparator's witness, any other exception
+    with the error; any other return value, False included, fails it too.
+    """
     t0 = perf_counter()
     try:
         out = chk.fn()
+    except Mismatch as exc:
+        status, witness = "fail", str(exc)
     except Exception as exc:
-        return CheckResult(chk.ident, chk.instance, "fail",
-                           f"error: {exc!r}", perf_counter() - t0)
-    ok, witness = out if isinstance(out, tuple) else (out, None)
-    if not ok and witness is None:
-        witness = "sides differ"
-    return CheckResult(chk.ident, chk.instance, "pass" if ok else "fail",
-                       witness, perf_counter() - t0)
+        status, witness = "fail", f"error: {exc!r}"
+    else:
+        if out is None or out is True or isinstance(out, str):
+            status, witness = "pass", out if isinstance(out, str) else None
+        else:
+            status, witness = "fail", f"returned {out!r}"
+    return CheckResult(chk.ident, chk.instance, status, witness, perf_counter() - t0)
 
 
 def run_checks(checks, threads: int = 1) -> list[CheckResult]:

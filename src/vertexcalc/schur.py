@@ -15,7 +15,7 @@ from collections import Counter
 from .partitions import (all_partitions, conjugate, contains, hooks, kappa,
                          normalize, subpartitions, weight)
 from .prodred import bracket
-from .series import LaurentFraction, LaurentPoly, MultiPoly, memo
+from .series import LaurentFraction, LaurentPoly, MultiPoly, memo, same
 
 _LR_CACHE: dict = {}
 _SSYT_CACHE: dict = {}
@@ -190,31 +190,32 @@ def verify_principal_against_finite(mu, deg: int) -> bool:
     n = (deg + weight(mu)) // 2 + 2
     closed = principal_schur(mu).expand_at_zero(deg)
     finite = {e[0] if e else 0: c for e, c in principal_schur_finite(mu, n).d.items() if (e[0] if e else 0) <= deg}
-    return closed == finite
+    return same(closed, finite)
 
 
 def verify_schur_at_empty(nu) -> bool:
     """Three routes to the same value at the empty background."""
     a = schur_at_mu_rho(nu, ())
     b = principal_schur(nu).invert_vars()
-    if not (a == b):
-        return False
+    same(a, b)
     w = LaurentFraction.monomial(1, (kappa(nu) // 2,))
     for h in hooks(normalize(nu)):
         w = w * bracket(h) ** -1
-    return a == w
+    return same(a, w)
 
 
 def verify_schur_at_conjugation(nu, mu) -> bool:
     """Inverting t matches transposing both partitions, up to (-1)^|nu|."""
     sign = (-1) ** weight(normalize(nu))
-    return schur_at_mu_rho(nu, mu).invert_vars() == schur_at_mu_rho(conjugate(nu), conjugate(mu)).scale(sign)
+    return same(schur_at_mu_rho(nu, mu).invert_vars(),
+                schur_at_mu_rho(conjugate(nu), conjugate(mu)).scale(sign))
 
 
 def verify_skew_duality(lam, eta) -> bool:
     """Principal skew at 1/t equals the transposed skew up to sign."""
     sign = (-1) ** (weight(lam) - weight(eta))
-    return principal_skew(lam, eta).invert_vars() == principal_skew(conjugate(lam), conjugate(eta)).scale(sign)
+    return same(principal_skew(lam, eta).invert_vars(),
+                principal_skew(conjugate(lam), conjugate(eta)).scale(sign))
 
 
 def verify_skew_cauchy(mu, nu, nx: int, ny: int, trunc: int) -> bool:
@@ -253,7 +254,7 @@ def verify_skew_cauchy(mu, nu, nx: int, ny: int, trunc: int) -> bool:
         a = skew_schur_poly(nu, tau, nvars, trunc, 0, nx)
         b = skew_schur_poly(mu, tau, nvars, trunc, nx, ny)
         rhs = rhs + a * b
-    return lhs == kern * rhs
+    return same(lhs, kern * rhs)
 
 
 def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
@@ -314,4 +315,4 @@ def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
                     key[xaxis(k, i)] += 1
                     key[yaxis(l - 1, j)] += 1
                     rhs = rhs * MultiPoly(nvars, trunc, {tuple(key): 1}).geometric()
-    return lhs == rhs
+    return same(lhs, rhs)

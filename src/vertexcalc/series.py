@@ -30,12 +30,18 @@ division) whenever it divides.  The paper's identities are products of such
 binomials; a factor with more terms stays in the denominator, and equality
 stays exact because == cross-multiplies.  LaurentFraction.sum brings many
 terms over one lcm and reduces once, and a + b is its two-term case.
+
+same(lhs, rhs) is the one comparator every check goes through: it returns
+True when the sides are equal and otherwise raises Mismatch, naming the
+first key, in sorted order, where two series, polynomials or dicts differ,
+with both coefficients rendered as in the JSON output.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -1065,3 +1071,40 @@ def multiqseries_json(ms: MultiQSeries) -> dict:
     for k in sorted(ms.c):
         items.append({"key": list(k), "coeff": coeff_json(ms.c[k])})
     return {"dims": list(ms.dims), "coeffs": items}
+
+
+class Mismatch(AssertionError):
+    """Two routes to one value disagree; the message is the witness."""
+
+
+def _keyed(x):
+    """The coefficient dict behind x and how to show one of its keys, or None."""
+    if isinstance(x, MultiQSeries):
+        return x.c, list
+    if isinstance(x, LaurentPoly):
+        return x._t, lambda k: list(unpack(k))
+    if isinstance(x, MultiPoly):
+        return x.d, list
+    if isinstance(x, dict):
+        return x, lambda k: k
+    return None
+
+
+def _show(x) -> str:
+    """Coefficients as coeff_json renders them; any other value whole."""
+    if isinstance(x, (LaurentFraction, LaurentPoly, int, Fraction)):
+        x = coeff_json(x)
+    return json.dumps(x, default=repr, separators=(",", ":"))
+
+
+def same(lhs, rhs) -> bool:
+    """True when lhs == rhs; otherwise raise Mismatch with the first differing key."""
+    if lhs == rhs:
+        return True
+    if type(lhs) is type(rhs) and _keyed(lhs):
+        (ca, show), (cb, _) = _keyed(lhs), _keyed(rhs)
+        for k in sorted(ca.keys() | cb.keys()):
+            u, v = ca.get(k, 0), cb.get(k, 0)
+            if not u == v:
+                raise Mismatch(f"at {_show(show(k))}: {_show(u)} != {_show(v)}")
+    raise Mismatch(f"{_show(lhs)} != {_show(rhs)}")

@@ -4,6 +4,8 @@ import sys
 import pytest
 
 from vertexcalc.cli import main, partition_arg
+from vertexcalc.report import Check, run_checks
+from vertexcalc.series import same
 
 
 def run(capsys, *argv):
@@ -96,8 +98,29 @@ def test_verify_inject_failure(capsys, tmp_path):
     doc = json.loads(path.read_text())
     assert doc["summary"]["failed"] == 1
     bad = [e for e in doc["entries"] if e["status"] == "fail"]
-    assert len(bad) == 1 and "witness" in bad[0]
+    assert len(bad) == 1
+    # the Q^1 coefficient, both sides rendered as fraction_json
+    assert bad[0]["witness"].startswith('at [1]: {"num":')
+    assert '} != {"num":' in bad[0]["witness"]
 
+
+
+def test_check_passes_only_by_returning_normally():
+    checks = [Check("none", "-", lambda: None),
+              Check("true", "-", lambda: True),
+              Check("info", "-", lambda: "a note"),
+              Check("false", "-", lambda: False),
+              Check("tuple", "-", lambda: (True, None)),
+              Check("mismatch", "-", lambda: same(1, 2)),
+              Check("error", "-", lambda: 1 // 0)]
+    got = [(r.ident, r.status, r.witness) for r in run_checks(checks)]
+    assert got == [("none", "pass", None),
+                   ("true", "pass", None),
+                   ("info", "pass", "a note"),
+                   ("false", "fail", "returned False"),
+                   ("tuple", "fail", "returned (True, None)"),
+                   ("mismatch", "fail", '"1" != "2"'),
+                   ("error", "fail", "error: ZeroDivisionError('integer division or modulo by zero')")]
 
 def test_verify_json_deterministic_across_threads(capsys, tmp_path):
     p1 = tmp_path / "t1.json"

@@ -59,11 +59,15 @@ def source_mutant(fn, old: str, new: str):
     return namespace[fn.__name__]
 
 
-def tiny_failures(suite: str, tmp_path, capsys) -> int:
+def tiny_failures(suite: str, tmp_path, capsys):
+    """The number of failed checks of a tiny run, and their witnesses."""
     report = tmp_path / "report.json"
     main(["verify", suite, *TINY_SIZES, "--json", str(report)])
     capsys.readouterr()
-    return json.loads(report.read_text())["summary"]["failed"]
+    doc = json.loads(report.read_text())
+    witnesses = [e["witness"] for e in doc["entries"] if e["status"] == "fail"]
+    assert not any("sides differ" in w for w in witnesses)
+    return doc["summary"]["failed"], witnesses
 
 
 def compute_pin_drift(capsys):
@@ -82,7 +86,7 @@ def compute_pin_drift(capsys):
 
 def test_unmutated_tiny_suites_pass(tmp_path, capsys):
     for suite in ("partitions", "prodred", "schur", "vertex", "k", "nekrasov-su2"):
-        assert tiny_failures(suite, tmp_path, capsys) == 0
+        assert tiny_failures(suite, tmp_path, capsys) == (0, [])
 
 
 def test_division_without_top_key_test_is_caught(mutate, capsys):
@@ -95,13 +99,13 @@ def test_division_without_top_key_test_is_caught(mutate, capsys):
 def test_kappa_off_by_one_is_caught(mutate, tmp_path, capsys):
     kappa = partitions.kappa
     mutate(partitions, "kappa", lambda mu: kappa(mu) + 1)
-    assert tiny_failures("partitions", tmp_path, capsys) > 0
+    assert tiny_failures("partitions", tmp_path, capsys)[0] > 0
 
 
 def test_bracket_wrong_sign_is_caught(mutate, tmp_path, capsys):
     bracket = prodred.bracket
     mutate(prodred, "bracket", lambda m: bracket(m).scale(-1))
-    assert tiny_failures("prodred", tmp_path, capsys) > 0
+    assert tiny_failures("prodred", tmp_path, capsys)[0] > 0
 
 
 def test_sum_dropping_its_last_term_is_caught(mutate, tmp_path, capsys):
@@ -109,32 +113,34 @@ def test_sum_dropping_its_last_term_is_caught(mutate, tmp_path, capsys):
                            "terms = [t for t in terms if t.num._t]",
                            "terms = [t for t in terms if t.num._t][:-1]")
     mutate(series.LaurentFraction, "sum", mutant)
-    assert tiny_failures("schur", tmp_path, capsys) > 0
+    assert tiny_failures("schur", tmp_path, capsys)[0] > 0
 
 
 def test_schur_background_sum_without_empty_shape_is_caught(mutate, tmp_path, capsys):
     mutant = source_mutant(schur.schur_at_mu_rho, "if contains(eta, mu) and contains(eta, nu))",
                            "if eta and contains(eta, mu) and contains(eta, nu))")
     mutate(schur, "schur_at_mu_rho", mutant)
-    assert tiny_failures("schur", tmp_path, capsys) > 0
+    assert tiny_failures("schur", tmp_path, capsys)[0] > 0
 
 
 def test_w3_sum_without_empty_shape_is_caught(mutate, tmp_path, capsys):
     mutant = source_mutant(vertex.w3, "if contains(eta, mu1) and contains(eta, m3t))",
                            "if eta and contains(eta, mu1) and contains(eta, m3t))")
     mutate(vertex, "w3", mutant)
-    assert tiny_failures("vertex", tmp_path, capsys) > 0
+    assert tiny_failures("vertex", tmp_path, capsys)[0] > 0
 
 
 def test_k_brute_missing_a_middle_partition_is_caught(mutate, tmp_path, capsys):
     mutant = source_mutant(ksum.k_brute, "for nu in partitions_of(d))",
                            "for nu in list(partitions_of(d))[:-1])")
     mutate(ksum, "k_brute", mutant)
-    assert tiny_failures("k", tmp_path, capsys) > 0
+    failed, witnesses = tiny_failures("k", tmp_path, capsys)
+    assert failed > 0
+    assert any(w.startswith("at [") for w in witnesses)
 
 
 def test_z_su2_grading_by_one_weight_is_caught(mutate, tmp_path, capsys):
     mutant = source_mutant(nekrasov.z_su2, "terms.setdefault((b, d), [])",
                            "terms.setdefault((weight(mu1), d), [])")
     mutate(nekrasov, "z_su2", mutant)
-    assert tiny_failures("nekrasov-su2", tmp_path, capsys) > 0
+    assert tiny_failures("nekrasov-su2", tmp_path, capsys)[0] > 0

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vertexcalc import series
 from vertexcalc.partitions import normalize
-from vertexcalc.series import (EXP_LIMIT, LaurentFraction, LaurentPoly,
+from vertexcalc.series import (EXP_LIMIT, LaurentFraction, LaurentPoly, Mismatch,
                                MultiPoly, MultiQSeries, QSeries, expand_in_q,
                                expand_in_q_multi, fraction_json, memo,
                                multiqseries_json, pack, poly_terms_json,
-                               qseries_json, set_cache_limit, unpack)
+                               qseries_json, same, set_cache_limit, unpack)
 
 
 def mono(c, key):
@@ -345,3 +346,47 @@ def test_json_shapes():
     assert mj["dims"] == [1, 1]
     assert mj["coeffs"][0]["key"] == [1, 0]
     assert poly_terms_json(fr.num, 1) == [[1, "1"]]
+
+
+def geometric_fraction():
+    t = LaurentFraction.monomial(1, (1,))
+    return t / (LaurentFraction.one() - t ** 2)
+
+
+def test_same_returns_true_on_equal_sides():
+    fr = geometric_fraction()
+    assert same(fr, fr.scale(2).scale(Fraction(1, 2))) is True
+    assert same(MultiQSeries((1,), {(1,): fr}), MultiQSeries((1,), {(1,): fr})) is True
+    assert same(mono(3, (1, 2)), mono(3, (1, 2))) is True
+    assert same({(2,): 1}, {(2,): Fraction(1)}) is True
+
+
+@pytest.mark.parametrize("lhs, rhs, witness", [
+    # Q keys (1,) and (2,) both differ; (1,) comes first
+    (MultiQSeries((2,), {(0,): 1, (1,): 3, (2,): 5}),
+     MultiQSeries((2,), {(0,): 1, (1,): 4, (2,): 6}), 'at [1]: "3" != "4"'),
+    # s-major order, the order of LaurentPoly.terms(): t^2 before s
+    (mono(1, (2,)) + mono(1, (0, 1)), LaurentPoly.zero(), 'at [2]: "1" != "0"'),
+    ({(3,): 1, (2, 1): 1, (1,): 2}, {(3,): 2, (2, 1): 1}, 'at [1]: "2" != "0"'),
+    (MultiPoly(2, 3, {(0, 1): 1, (1, 0): Fraction(1, 2)}), MultiPoly(2, 3, {(0, 1): 1}),
+     'at [1,0]: "1/2" != "0"'),
+])
+def test_same_names_the_first_differing_key(lhs, rhs, witness):
+    with pytest.raises(Mismatch) as exc:
+        same(lhs, rhs)
+    assert str(exc.value) == witness
+
+
+def test_same_renders_fraction_coefficients_as_json():
+    fr = geometric_fraction()
+    with pytest.raises(Mismatch) as exc:
+        same(MultiQSeries((1,), {(1,): fr}), MultiQSeries((1,), {}))
+    assert str(exc.value) == f'at [1]: {json.dumps(fraction_json(fr), separators=(",", ":"))} != "0"'
+
+
+def test_same_shows_both_fractions_whole():
+    fr = geometric_fraction()
+    with pytest.raises(Mismatch) as exc:
+        same(fr, -fr)
+    lhs, rhs = (json.dumps(fraction_json(x), separators=(",", ":")) for x in (fr, -fr))
+    assert str(exc.value) == f"{lhs} != {rhs}"
