@@ -10,6 +10,13 @@ which is what the squared rank-N identities are built from.
 Everything here is exact: series coefficients are Laurent fractions in
 t, and the sinh-side equalities are fraction equalities, never truncated
 comparisons.
+
+The kgen and sun suites sweep the same chains, so each chain value is
+computed once per process: ktilde_brute (brute side), k00_chain_product
+(closed side of kgen), k00_chain_square and hook_sinh_block (sinh side)
+are memoized like k_brute, keyed on their raw arguments.  Pass mus as a tuple
+of partition tuples and dims as a tuple; the verify_* functions normalize
+list arguments before they reach a memo table.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ from .vertex import w1, w2, w3
 
 _K00_CACHE: dict = {}
 _KB_CACHE: dict = {}
+_KT_CACHE: dict = {}
+_K00P_CACHE: dict = {}
+_K00SQ_CACHE: dict = {}
+_HOOK_CACHE: dict = {}
 
 
 @memo(_KB_CACHE)
@@ -83,6 +94,7 @@ def k_transposed_rational(mu1, mu2) -> LaurentFraction:
     return fr * product_over(pair_multiset(mu1, mu2), one_minus_qq)
 
 
+@memo(_HOOK_CACHE)
 def hook_sinh_block(mu) -> LaurentFraction:
     """Diagonal sinh block of one partition in hook form (pure t)."""
     return diag_block_ratio(mu, lambda m: sinh_factor(m, ()))
@@ -143,6 +155,7 @@ def verify_ksinh_series(mu1, mu2, trunc: int) -> bool:
     return same(kb * kb, (k0 * k0) * expand_in_q_multi(four_block_sinh(mu1, mu2), (trunc,)))
 
 
+@memo(_KT_CACHE)
 def ktilde_brute(mus, dims) -> MultiQSeries:
     """Chain series over middle-partition tuples.
 
@@ -170,7 +183,7 @@ def ktilde_brute(mus, dims) -> MultiQSeries:
 
 def verify_ktilde_pair_reduction(mu1, mu2, trunc: int) -> bool:
     """Two-link chains collapse to the transposed pair series."""
-    kt = ktilde_brute([mu1, mu2], (trunc,))
+    kt = ktilde_brute((normalize(mu1), normalize(mu2)), (trunc,))
     mono = LaurentFraction.monomial(1, (kappa(normalize(mu2)),))
     return same(kt, k_brute(mu1, conjugate(mu2), trunc).scale(mono))
 
@@ -195,12 +208,20 @@ def k00_chain(dims, k: int, l: int) -> MultiQSeries:
     return MultiQSeries(dims, cells)
 
 
+@memo(_K00P_CACHE)
 def k00_chain_product(dims, n: int) -> MultiQSeries:
     out = MultiQSeries.one(tuple(dims))
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             out = out * k00_chain(dims, k, l)
     return out
+
+
+@memo(_K00SQ_CACHE)
+def k00_chain_square(dims, n: int) -> MultiQSeries:
+    """k00_chain_product squared: the k00 factor of the squared rank-N sides."""
+    k0 = k00_chain_product(dims, n)
+    return k0 * k0
 
 
 def kgen_closed(mus, dims) -> MultiQSeries:
@@ -220,7 +241,13 @@ def kgen_closed(mus, dims) -> MultiQSeries:
     return k00_chain_product(dims, n) * expand_in_q_multi(fr, dims)
 
 
+def _chain_args(mus, dims):
+    """Normalized partition tuple and dims tuple: the memo keys of the chain builders."""
+    return tuple(normalize(m) for m in mus), tuple(dims)
+
+
 def verify_thm_kgen(mus, dims) -> bool:
+    mus, dims = _chain_args(mus, dims)
     return same(ktilde_brute(mus, dims), kgen_closed(mus, dims))
 
 
@@ -253,9 +280,8 @@ def sun_square_fraction(mus, naxes: int) -> LaurentFraction:
 
 def verify_sun_squares(mus, dims) -> bool:
     """Squared chain series against the sinh-block normal form."""
-    dims = tuple(dims)
-    n = len(list(mus))
+    mus, dims = _chain_args(mus, dims)
     kt = ktilde_brute(mus, dims)
-    k0 = k00_chain_product(dims, n)
-    rhs = (k0 * k0) * expand_in_q_multi(sun_square_fraction(mus, len(dims)), dims)
+    rhs = k00_chain_square(dims, len(mus)) * expand_in_q_multi(
+        sun_square_fraction(mus, len(dims)), dims)
     return same(kt * kt, rhs)

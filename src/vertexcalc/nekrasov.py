@@ -13,10 +13,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .ksum import (four_block_sinh, k00_chain_product, k00_closed, k_brute,
+from .ksum import (four_block_sinh, k00_chain_square, k00_closed, k_brute,
                    ktilde_brute, sun_square_fraction)
 from .partitions import all_partitions, conjugate, kappa, normalize, partitions_of, weight
-from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, same
+from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
+
+_FPS_CACHE: dict = {}
 
 
 def pair_sweep(bdeg: int):
@@ -46,8 +48,12 @@ def tuple_sweep(n: int, bdeg: int):
     return out
 
 
+@memo(_FPS_CACHE)
 def _framed_pair_square(mu1, mu2, m: int, fdeg: int) -> MultiQSeries:
-    """Squared transposed-pair series with the framing twist to power m."""
+    """Squared transposed-pair series with the framing twist to power m.
+
+    Memoized: z_su2 and the termwise side of verify_su2 both build it.
+    """
     ks = k_brute(mu1, conjugate(mu2), fdeg)
     ks = ks * ks
     if m:
@@ -167,8 +173,7 @@ def sun_tuple_identity(n: int, mus, dims) -> bool:
     kt = ktilde_brute(mus, dims)
     lhs = (kt * kt).scale(framing)
     fr = sun_square_fraction(mus, len(dims)) * framing
-    k0 = k00_chain_product(dims, n)
-    rhs = (k0 * k0) * expand_in_q_multi(fr, dims)
+    rhs = k00_chain_square(dims, n) * expand_in_q_multi(fr, dims)
     return same(lhs, rhs)
 
 
@@ -218,7 +223,7 @@ def sun_phi_model(n: int, mus) -> bool:
 def verify_sun_pair_consistency(mu1, mu2, trunc: int) -> bool:
     """At rank 2 the framed chain square is the plain pair square."""
     mu2 = normalize(mu2)
-    kt = ktilde_brute([mu1, mu2], (trunc,))
+    kt = ktilde_brute((normalize(mu1), mu2), (trunc,))
     m0 = LaurentFraction.monomial(1, (-2 * kappa(mu2),))
     lhs = (kt * kt).scale(m0)
     kb = k_brute(mu1, conjugate(mu2), trunc)

@@ -30,11 +30,14 @@ division) whenever it divides.  The paper's identities are products of such
 binomials; a factor with more terms stays in the denominator, and equality
 stays exact because == cross-multiplies.  LaurentFraction.sum brings many
 terms over one lcm and reduces once, and a + b is its two-term case.
+MultiQSeries squares by symmetry: x * x forms each unordered pair of keys
+once and doubles the off-diagonal products.
 
 same(lhs, rhs) is the one comparator every check goes through: it returns
 True when the sides are equal and otherwise raises Mismatch, naming the
 first key, in sorted order, where two series, polynomials or dicts differ,
-with both coefficients rendered as in the JSON output.
+with both coefficients rendered as in the JSON output (a constant fraction
+as its number).
 """
 
 from __future__ import annotations
@@ -768,12 +771,17 @@ class MultiQSeries:
         if not isinstance(other, MultiQSeries):
             return NotImplemented
         self._check(other)
+        # x * x forms each unordered pair of keys once and doubles the
+        # off-diagonal products; j == 0 is the diagonal.
+        square = other is self
+        items = list(self.c.items())
         parts: dict = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
+        for i, (k1, v1) in enumerate(items):
+            for j, (k2, v2) in enumerate(items[i:] if square else other.c.items()):
                 kk = tuple(a + b for a, b in zip(k1, k2))
                 if not any(x > d for x, d in zip(kk, self.dims)):
-                    parts.setdefault(kk, []).append(v1 * v2)
+                    p = v1 * v2
+                    parts.setdefault(kk, []).append(_cscale(p, 2) if square and j else p)
         out = {kk: _coeff_sum(vs) for kk, vs in parts.items()}
         return MultiQSeries._of(self.dims, {k: v for k, v in out.items() if not _is_zero_coeff(v)})
 
@@ -1091,7 +1099,10 @@ def _keyed(x):
 
 
 def _show(x) -> str:
-    """Coefficients as coeff_json renders them; any other value whole."""
+    """Coefficients as coeff_json renders them, a constant fraction as its
+    number; any other value whole."""
+    if isinstance(x, LaurentFraction) and not x.den and x.num._t.keys() <= {0}:
+        x = x.num._t.get(0, 0)
     if isinstance(x, (LaurentFraction, LaurentPoly, int, Fraction)):
         x = coeff_json(x)
     return json.dumps(x, default=repr, separators=(",", ":"))

@@ -279,13 +279,13 @@ def suite_kgen(params: dict) -> list[Check]:
     dims2 = (min(qdeg, 3),)
     for mu1, mu2 in nekrasov.pair_sweep(2):
         checks.append(Check("chain-closed-form", f"{pstr(mu1)} {pstr(mu2)} dims={list(dims2)}",
-                            lambda a=mu1, b=mu2: ksum.verify_thm_kgen([a, b], dims2)))
+                            lambda a=mu1, b=mu2: ksum.verify_thm_kgen((a, b), dims2)))
     dims3 = (min(qdeg, 3), min(qdeg, 3))
     w3max = min(wmax, 2)
     for mu1 in all_partitions(w3max):
         checks.append(Check("chain-closed-form-rank3",
                             f"mu1={pstr(mu1)} legs<={w3max} dims={list(dims3)}",
-                            lambda a=mu1: all(ksum.verify_thm_kgen([a, b, c], dims3)
+                            lambda a=mu1: all(ksum.verify_thm_kgen((a, b, c), dims3)
                                               for b in all_partitions(w3max)
                                               for c in all_partitions(w3max))))
     return checks
@@ -298,14 +298,14 @@ def suite_sun(params: dict) -> list[Check]:
     dims2 = (qdeg,)
     for mu1, mu2 in nekrasov.pair_sweep(2):
         checks.append(Check("squared-chain-rank2", f"{pstr(mu1)} {pstr(mu2)} dims={list(dims2)}",
-                            lambda a=mu1, b=mu2: ksum.verify_sun_squares([a, b], dims2)))
+                            lambda a=mu1, b=mu2: ksum.verify_sun_squares((a, b), dims2)))
     dims3 = (qdeg, qdeg)
     for mu1 in all_partitions(wmax):
         for mu2 in all_partitions(wmax):
             checks.append(Check("squared-chain-rank3",
                                 f"{pstr(mu1)} {pstr(mu2)} legs<={wmax} dims={list(dims3)}",
                                 lambda a=mu1, b=mu2: all(
-                                    ksum.verify_sun_squares([a, b, c], dims3)
+                                    ksum.verify_sun_squares((a, b, c), dims3)
                                     for c in all_partitions(wmax))))
     return checks
 

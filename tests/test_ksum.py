@@ -1,13 +1,19 @@
+import sys
 from fractions import Fraction
 
-from vertexcalc.ksum import (k00_closed, k_brute, k_transposed_rational,
+import pytest
+
+from vertexcalc import series
+from vertexcalc.ksum import (hook_sinh_block, k00_chain_product, k00_chain_square,
+                             k00_closed, k_brute, k_transposed_rational,
                              kgen_closed, ktilde_brute, sun_square_fraction,
                              verify_cor_ik2_and_ksinh, verify_ksinh_series,
                              verify_ktilde_pair_reduction, verify_sun_squares,
                              verify_thm_k, verify_thm_kgen, verify_thm_kt)
 from vertexcalc.partitions import all_partitions, conjugate, partitions_of
 from vertexcalc.prodred import bracket
-from vertexcalc.series import LaurentFraction, expand_in_q
+from vertexcalc.nekrasov import _framed_pair_square
+from vertexcalc.series import LaurentFraction, expand_in_q, set_cache_limit
 
 
 def small_pairs(total):
@@ -93,3 +99,36 @@ def test_squared_chain_fraction_three_slots():
 def test_square_fraction_empty_is_one():
     assert sun_square_fraction(((), ()), 2) == LaurentFraction.one()
     assert sun_square_fraction(((), (), ()), 3) == LaurentFraction.one()
+
+
+CHAIN_MEMOS = [
+    (ktilde_brute, "_KT_CACHE", (((1,), (), (1,)), (1, 1))),
+    (k00_chain_product, "_K00P_CACHE", ((2, 1), 3)),
+    (k00_chain_square, "_K00SQ_CACHE", ((2, 1), 3)),
+    (hook_sinh_block, "_HOOK_CACHE", ((2, 1),)),
+    (_framed_pair_square, "_FPS_CACHE", ((1,), (1,), 1, 2)),
+]
+
+
+@pytest.mark.parametrize("fn, table_name, args", CHAIN_MEMOS,
+                         ids=[fn.__name__ for fn, *_ in CHAIN_MEMOS])
+def test_chain_builders_are_memoized(fn, table_name, args):
+    first = fn(*args)
+    assert fn(*args) is first
+    # a full table (cache_limit) recomputes an equal value and does not store it
+    table = getattr(sys.modules[fn.__module__], table_name)
+    assert table[args] is first
+    del table[args]
+    limit = series.CACHE_LIMIT
+    set_cache_limit(len(table))
+    try:
+        again = fn(*args)
+    finally:
+        set_cache_limit(limit)
+    assert again == first and again is not first and args not in table
+
+
+def test_chain_checks_accept_lists():
+    # the verify entry points turn list arguments into memo keys themselves
+    assert verify_thm_kgen([[1], [1, 0]], [2])
+    assert verify_sun_squares([[1], []], [2])

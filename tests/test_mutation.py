@@ -85,7 +85,8 @@ def compute_pin_drift(capsys):
 
 
 def test_unmutated_tiny_suites_pass(tmp_path, capsys):
-    for suite in ("partitions", "prodred", "schur", "vertex", "k", "nekrasov-su2"):
+    for suite in ("partitions", "prodred", "schur", "vertex", "k", "kgen", "sun",
+                  "nekrasov-su2"):
         assert tiny_failures(suite, tmp_path, capsys) == (0, [])
 
 
@@ -144,3 +145,16 @@ def test_z_su2_grading_by_one_weight_is_caught(mutate, tmp_path, capsys):
                            "terms.setdefault((weight(mu1), d), [])")
     mutate(nekrasov, "z_su2", mutant)
     assert tiny_failures("nekrasov-su2", tmp_path, capsys)[0] > 0
+
+
+def test_square_without_doubled_cross_terms_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(series.MultiQSeries.__mul__, "_cscale(p, 2) if square and j else p", "p")
+    mutate(series.MultiQSeries, "__mul__", mutant)
+    assert tiny_failures("sun", tmp_path, capsys)[0] > 0
+
+
+def test_ktilde_brute_missing_a_chain_tuple_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(ksum.ktilde_brute, "for nus in itertools.product(*pools):",
+                           "for nus in list(itertools.product(*pools))[:-1]:")
+    mutate(ksum, "ktilde_brute", mutant)
+    assert tiny_failures("kgen", tmp_path, capsys)[0] > 0

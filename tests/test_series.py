@@ -303,6 +303,45 @@ def test_multiqseries_box_products():
     assert single == MultiQSeries((3,), {(0,): 1, (2,): 5})
 
 
+@st.composite
+def square_cases(draw):
+    """A series on one or two axes whose keys may sum past the box, with
+    int, Fraction or LaurentFraction coefficients (over 1 - t or 1 - t^2)."""
+    dims = draw(st.sampled_from([(3,), (2, 2)]))
+    kind = draw(st.sampled_from(["int", "fraction", "laurent"]))
+    keys = draw(st.lists(st.tuples(*(st.integers(0, d) for d in dims)), max_size=5))
+    c = {}
+    for key in keys:
+        n = draw(st.integers(-3, 3).filter(bool))
+        if kind == "fraction":
+            n = Fraction(n, draw(st.integers(2, 5)))
+        elif kind == "laurent":
+            k = draw(st.integers(1, 2))
+            n = LaurentFraction.monomial(n, (draw(st.integers(-2, 2)),)) / (
+                LaurentFraction.one() - LaurentFraction.monomial(1, (k,)))
+        c[key] = n
+    return MultiQSeries(dims, c)
+
+
+@given(square_cases())
+@settings(max_examples=80, deadline=None)
+def test_square_by_symmetry_matches_general_product(x):
+    # y is an equal copy, so x * y takes the general path and x * x the symmetric one
+    y = MultiQSeries._of(x.dims, dict(x.c))
+    sq, prod = x * x, x * y
+    assert sq == prod and sq.c.keys() == prod.c.keys()
+
+
+def test_square_drops_a_cancelled_coefficient():
+    # the Q^2 coefficient c1^2 + 2 c0 c2 cancels to zero
+    t = LaurentFraction.monomial(1, (1,))
+    for c0, c1, c2 in [(1, 2, -2), (t, 2, t.inv().scale(-2))]:
+        x = MultiQSeries((2,), {(0,): c0, (1,): c1, (2,): c2})
+        sq = x * x
+        assert (2,) not in sq.c
+        assert sq == x * MultiQSeries._of(x.dims, dict(x.c))
+
+
 def test_expand_in_q_geometric():
     t = LaurentFraction.monomial(1, (1,))
     s = LaurentFraction.monomial(1, (0, 1))
@@ -390,3 +429,15 @@ def test_same_shows_both_fractions_whole():
         same(fr, -fr)
     lhs, rhs = (json.dumps(fraction_json(x), separators=(",", ":")) for x in (fr, -fr))
     assert str(exc.value) == f"{lhs} != {rhs}"
+
+
+def test_same_shows_constant_fractions_as_numbers():
+    # a constant LaurentFraction reads like the number it equals
+    with pytest.raises(Mismatch) as exc:
+        same(MultiQSeries((1,), {(0,): Fraction(2)}), MultiQSeries((1,), {(0,): LaurentFraction.one()}))
+    assert str(exc.value) == 'at [0]: "2" != "1"'
+    with pytest.raises(Mismatch) as exc:
+        same(LaurentFraction.const(Fraction(-3, 2)), LaurentFraction.zero())
+    assert str(exc.value) == '"-3/2" != "0"'
+    # the JSON rendering of the same coefficient is unchanged
+    assert series.coeff_json(LaurentFraction.one()) == {"num": [[0, "1"]], "den": [[0, "1"]]}
