@@ -17,11 +17,11 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import fcoeff, ksum, nekrasov, vertex
-from .partitions import conjugate, normalize
+from .partitions import conjugate
 from .prodred import multiset_json, pair_multiset
 from .report import render_human, report_json, run_checks
 from .series import (LaurentFraction, LaurentPoly, coeff_json, expand_in_q_multi,
-                     multiqseries_json, qseries_json, set_cache_limit)
+                     multiqseries_json, qseries_json)
 from .suites import SUITE_ORDER, build_suite
 
 
@@ -108,14 +108,9 @@ def qseries_str(qs) -> str:
     trunc = qs.dims[0]
     for d in range(trunc + 1):
         c = qs.get((d,))
-        if isinstance(c, LaurentFraction):
-            if not c.num.d:
-                continue
-            cs, _ = fraction_str(c)
-        else:
-            if not c:
-                continue
-            cs = str(Fraction(c))
+        if not c:
+            continue
+        cs, _ = fraction_str(c)
         if d == 0:
             pieces.append(cs if " " not in cs else f"({cs})")
         else:
@@ -142,7 +137,7 @@ def expansion_str(table: dict, mode: str, order: int) -> tuple[str, str]:
     return (_join_terms(terms) + " + " + tail if terms else tail), units
 
 
-CONFIG_KEYS = {"max_weight", "qdeg", "bdeg", "fdeg", "m", "n", "threads", "cache_limit"}
+CONFIG_KEYS = {"max_weight", "qdeg", "bdeg", "fdeg", "m", "n", "threads"}
 VERIFY_SIZES = ("max_weight", "qdeg", "bdeg", "fdeg", "m", "n")
 
 
@@ -323,8 +318,6 @@ def cmd_verify(args) -> int:
         if val is not None:
             check_size(key, val, "--" + key.replace("_", "-"))
             cfg[key] = val
-    if "cache_limit" in cfg:
-        set_cache_limit(cfg["cache_limit"])
     params = {key: cfg.get(key) for key in VERIFY_SIZES}
     checks = build_suite(args.suite, params, args.inject_failure)
     t0 = perf_counter()

@@ -5,7 +5,10 @@ the middle partition; the closed routes trade that sum for the pair
 coefficient function (exp form) or for the reduced exponent multiset
 (factored product form).  The transposed variant admits an exact sinh
 normal form on the half-power lattice (s = Q**(1/2), axis 1 and up),
-which is what the squared rank-N identities are built from.
+which is what the squared rank-N identities are built from.  The
+rank-2 sinh side (the squared transposed pair) is the two-slot case of
+sun_square_fraction, shifted by t**(-2 kappa(mu2)); it has no builder of
+its own.
 
 Everything here is exact: series coefficients are Laurent fractions in
 t, and the sinh-side equalities are fraction equalities, never truncated
@@ -16,7 +19,8 @@ computed once per process: ktilde_brute (brute side), k00_chain_product
 (closed side of kgen), k00_chain_square and hook_sinh_block (sinh side)
 are memoized like k_brute, keyed on their raw arguments.  Pass mus as a tuple
 of partition tuples and dims as a tuple; the verify_* functions normalize
-list arguments before they reach a memo table.
+list arguments before they reach a memo table.  The rank-2 sinh sides
+take their k00 square from k00_chain_square((trunc,), 2) too.
 """
 
 from __future__ import annotations
@@ -100,21 +104,6 @@ def hook_sinh_block(mu) -> LaurentFraction:
     return diag_block_ratio(mu, lambda m: sinh_factor(m, ()))
 
 
-def four_block_sinh(mu1, mu2) -> LaurentFraction:
-    """Sinh side of the squared transposed-pair identity.
-
-    Both hook blocks times the squared off-diagonal block, over 16**w and
-    s**(2w) with w = |mu1| + |mu2|.  The squared-sinh and rank-2 checks
-    all compare against this one fraction.
-    """
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
-    w = weight(mu1) + weight(mu2)
-    block = product_over(pair_multiset(mu1, mu2), sinh_factor)
-    four = hook_sinh_block(mu1) * hook_sinh_block(mu2) * block ** 2
-    return four.scale(Fraction(1, 16 ** w)).shift((0, -2 * w))
-
-
 def verify_thm_kt(mu1, mu2, trunc: int) -> bool:
     """Series route against the rational form, then the sinh normal form."""
     lhs = k_brute(mu1, conjugate(mu2), trunc)
@@ -145,14 +134,15 @@ def verify_cor_ik2_and_ksinh(mu1, mu2) -> bool:
     sq = product_over(pm, one_minus_qq) ** 2
     ik2 = (block ** 2).scale(Fraction(1, 4 ** w)).shift((-kdiff, -2 * w))
     same(sq, ik2)
-    return same(k_transposed_rational(mu1, mu2) ** 2, four_block_sinh(mu1, mu2))
+    four = sun_square_fraction((mu1, mu2), 1).shift((-2 * kappa(mu2),))
+    return same(k_transposed_rational(mu1, mu2) ** 2, four)
 
 
 def verify_ksinh_series(mu1, mu2, trunc: int) -> bool:
     """Squared brute series against the expanded four-block fraction."""
     kb = k_brute(mu1, conjugate(mu2), trunc)
-    k0 = k00_closed(trunc)
-    return same(kb * kb, (k0 * k0) * expand_in_q_multi(four_block_sinh(mu1, mu2), (trunc,)))
+    four = sun_square_fraction((mu1, mu2), 1).shift((-2 * kappa(normalize(mu2)),))
+    return same(kb * kb, k00_chain_square((trunc,), 2) * expand_in_q_multi(four, (trunc,)))
 
 
 @memo(_KT_CACHE)

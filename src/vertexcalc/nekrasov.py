@@ -10,11 +10,9 @@ reported rather than postulated.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .ksum import (four_block_sinh, k00_chain_square, k00_closed, k_brute,
-                   ktilde_brute, sun_square_fraction)
+from .ksum import k00_chain_square, k_brute, ktilde_brute, sun_square_fraction
 from .partitions import all_partitions, conjugate, kappa, normalize, partitions_of, weight
 from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
 
@@ -86,8 +84,8 @@ def z_su2_sinh_term(mu1, mu2, m: int) -> LaurentFraction:
     mu1 = normalize(mu1)
     mu2 = normalize(mu2)
     sgn = (-1) ** (m * (weight(mu1) + weight(mu2)))
-    return four_block_sinh(mu1, mu2).scale(sgn).shift(
-        (-m * (kappa(mu1) + kappa(mu2)), 2 * m * weight(mu2)))
+    four = sun_square_fraction((mu1, mu2), 1).shift((-2 * kappa(mu2),))
+    return four.scale(sgn).shift((-m * (kappa(mu1) + kappa(mu2)), 2 * m * weight(mu2)))
 
 
 def z_su2_sinh_side(m: int, bdeg: int):
@@ -97,8 +95,7 @@ def z_su2_sinh_side(m: int, bdeg: int):
 
 def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
     """Termwise sinh identity, then the graded aggregate."""
-    k0 = k00_closed(fdeg)
-    k0sq = k0 * k0
+    k0sq = k00_chain_square((fdeg,), 2)
     agg = {b: MultiQSeries((fdeg,)) for b in range(bdeg + 1)}
     for mu1, mu2, fr in z_su2_sinh_side(m, bdeg):
         lhs = _framed_pair_square(mu1, mu2, m, fdeg)

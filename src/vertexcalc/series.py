@@ -2,7 +2,10 @@
 
 Everything downstream (vertex amplitudes, coefficient functions, instanton
 sums) runs on the classes in this module.  There is no floating point
-anywhere: coefficients are ints or fractions.Fraction.
+anywhere: polynomial coefficients are ints or fractions.Fraction, and
+every MultiQSeries coefficient is a LaurentFraction (the constructor
+coerces ints, Fractions and LaurentPolys; a missing key reads as a zero
+fraction), so each series operation has one code path.
 
 Exponent conventions shared across the package:
 
@@ -51,12 +54,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 CACHE_LIMIT = 1 << 20
-
-
-def set_cache_limit(n: int) -> None:
-    """Cap the size of the module-level memo tables."""
-    global CACHE_LIMIT
-    CACHE_LIMIT = n
 
 
 def memo(table: dict):
@@ -693,29 +690,8 @@ def _uni(p: LaurentPoly) -> dict[int, object]:
     return p._t
 
 
-def _cscale(x, c: Fraction):
-    if isinstance(x, LaurentFraction):
-        return x.scale(c)
-    return _normval(x * c)
-
-
-def _coeff_sum(vals: list):
-    """One reduced sum of series coefficients; plain numbers add as numbers."""
-    if all(isinstance(v, (int, Fraction)) for v in vals):
-        return sum(vals, Fraction(0))
-    return LaurentFraction.sum(vals)
-
-
-def _is_zero_coeff(x) -> bool:
-    if isinstance(x, LaurentFraction):
-        return x.is_zero()
-    if isinstance(x, LaurentPoly):
-        return x.is_zero()
-    return not x
-
-
 class MultiQSeries:
-    """Box-truncated series in several Q variables with fraction coefficients."""
+    """Box-truncated series in several Q variables with LaurentFraction coefficients."""
 
     __slots__ = ("dims", "c")
 
@@ -729,9 +705,11 @@ class MultiQSeries:
                     raise ValueError("key length does not match dims")
                 if any(x < 0 for x in k):
                     raise ValueError("negative Q exponent")
-                if all(x <= d for x, d in zip(k, self.dims)):
-                    if not _is_zero_coeff(v):
-                        cc[k] = v
+                v = LaurentFraction._coerce(v)
+                if v is None:
+                    raise TypeError("series coefficients are fractions, polynomials or numbers")
+                if v and all(x <= d for x, d in zip(k, self.dims)):
+                    cc[k] = v
         self.c = cc
 
     @classmethod
@@ -743,7 +721,8 @@ class MultiQSeries:
         return r
 
     def get(self, key):
-        return self.c.get(tuple(key), Fraction(0))
+        """The coefficient at key; a zero LaurentFraction when the key is absent."""
+        return self.c.get(tuple(key)) or LaurentFraction.zero()
 
     def _check(self, other: "MultiQSeries"):
         if self.dims != other.dims:
@@ -755,11 +734,11 @@ class MultiQSeries:
         self._check(other)
         out = dict(self.c)
         for k, v in other.c.items():
-            w = out.get(k, Fraction(0)) + v
-            if _is_zero_coeff(w):
-                out.pop(k, None)
-            else:
+            w = out[k] + v if k in out else v
+            if w:
                 out[k] = w
+            else:
+                out.pop(k, None)
         return MultiQSeries._of(self.dims, out)
 
     def __sub__(self, other):
@@ -781,11 +760,13 @@ class MultiQSeries:
                 kk = tuple(a + b for a, b in zip(k1, k2))
                 if not any(x > d for x, d in zip(kk, self.dims)):
                     p = v1 * v2
-                    parts.setdefault(kk, []).append(_cscale(p, 2) if square and j else p)
-        out = {kk: _coeff_sum(vs) for kk, vs in parts.items()}
-        return MultiQSeries._of(self.dims, {k: v for k, v in out.items() if not _is_zero_coeff(v)})
+                    parts.setdefault(kk, []).append(p.scale(2) if square and j else p)
+        out = {kk: LaurentFraction.sum(vs) for kk, vs in parts.items()}
+        return MultiQSeries._of(self.dims, {k: v for k, v in out.items() if v})
 
     def scale(self, x):
+        if not x:
+            return MultiQSeries(self.dims)
         return MultiQSeries._of(self.dims, {k: x * v for k, v in self.c.items()})
 
     def shift(self, key):
@@ -806,11 +787,10 @@ class MultiQSeries:
         is never a key of e).
         """
         origin = (0,) * len(self.dims)
-        if not _is_zero_coeff(self.get(origin)):
+        if self.get(origin):
             raise ValueError("exp needs zero constant term")
-        terms = [(j, _cscale(a, Fraction(sum(j)))) for j, a in sorted(self.c.items())
-                 if not _is_zero_coeff(a)]
-        e: dict = {origin: Fraction(1)}
+        terms = [(j, a.scale(sum(j))) for j, a in sorted(self.c.items())]
+        e: dict = {origin: LaurentFraction.one()}
         for k in itertools.product(*(range(d + 1) for d in self.dims)):
             if k == origin:
                 continue
@@ -819,27 +799,22 @@ class MultiQSeries:
                 prev = e.get(tuple(b - a for a, b in zip(j, k)))
                 if prev is not None:
                     parts.append(ja * prev)
-            acc = _coeff_sum(parts)
-            if not _is_zero_coeff(acc):
-                e[k] = _cscale(acc, Fraction(1, sum(k)))
+            acc = LaurentFraction.sum(parts)
+            if acc:
+                e[k] = acc.scale(Fraction(1, sum(k)))
         return MultiQSeries._of(self.dims, e)
 
     def __eq__(self, other):
         if not isinstance(other, MultiQSeries):
             return NotImplemented
         self._check(other)
-        for k in set(self.c) | set(other.c):
-            a = self.c.get(k, Fraction(0))
-            b = other.c.get(k, Fraction(0))
-            if not (a == b):
-                return False
-        return True
+        return all(self.get(k) == other.get(k) for k in self.c.keys() | other.c.keys())
 
     __hash__ = None
 
     @classmethod
     def one(cls, dims):
-        return cls(tuple(dims), {tuple(0 for _ in dims): Fraction(1)})
+        return cls(tuple(dims), {tuple(0 for _ in dims): LaurentFraction.one()})
 
     def __repr__(self):
         return f"MultiQSeries(dims={self.dims}, terms={len(self.c)})"
@@ -1069,9 +1044,9 @@ def coeff_json(x):
 
 
 def qseries_json(qs: MultiQSeries) -> dict:
-    """Dense {"trunc", "coeffs"} form of a one-axis series."""
+    """Dense {"trunc", "coeffs"} form of a one-axis series; an absent key is "0"."""
     trunc = qs.dims[0]
-    return {"trunc": trunc, "coeffs": [coeff_json(qs.get((d,))) for d in range(trunc + 1)]}
+    return {"trunc": trunc, "coeffs": [coeff_json(qs.c.get((d,), 0)) for d in range(trunc + 1)]}
 
 
 def multiqseries_json(ms: MultiQSeries) -> dict:
@@ -1100,10 +1075,10 @@ def _keyed(x):
 
 def _show(x) -> str:
     """Coefficients as coeff_json renders them, a constant fraction as its
-    number; any other value whole."""
+    number; any other value, a bool included, whole."""
     if isinstance(x, LaurentFraction) and not x.den and x.num._t.keys() <= {0}:
         x = x.num._t.get(0, 0)
-    if isinstance(x, (LaurentFraction, LaurentPoly, int, Fraction)):
+    if isinstance(x, (LaurentFraction, LaurentPoly, int, Fraction)) and type(x) is not bool:
         x = coeff_json(x)
     return json.dumps(x, default=repr, separators=(",", ":"))
 

@@ -153,6 +153,13 @@ def test_config_unknown_key_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_cache_limit_is_an_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("cache_limit=5\n")
+    code, _, err = run(capsys, "verify", "partitions", "--config", str(cfg))
+    assert code == 2 and "unknown config key: cache_limit" in err
+
+
 def test_compute_missing_argument_exits_two(capsys):
     code, _, err = run(capsys, "compute", "w1")
     assert code == 2

@@ -13,7 +13,7 @@ from vertexcalc.ksum import (hook_sinh_block, k00_chain_product, k00_chain_squar
 from vertexcalc.partitions import all_partitions, conjugate, partitions_of
 from vertexcalc.prodred import bracket
 from vertexcalc.nekrasov import _framed_pair_square
-from vertexcalc.series import LaurentFraction, expand_in_q, set_cache_limit
+from vertexcalc.series import LaurentFraction, expand_in_q
 
 
 def small_pairs(total):
@@ -112,19 +112,16 @@ CHAIN_MEMOS = [
 
 @pytest.mark.parametrize("fn, table_name, args", CHAIN_MEMOS,
                          ids=[fn.__name__ for fn, *_ in CHAIN_MEMOS])
-def test_chain_builders_are_memoized(fn, table_name, args):
+def test_chain_builders_are_memoized(fn, table_name, args, monkeypatch):
     first = fn(*args)
     assert fn(*args) is first
-    # a full table (cache_limit) recomputes an equal value and does not store it
+    # a full table (CACHE_LIMIT) recomputes an equal value and does not store it
     table = getattr(sys.modules[fn.__module__], table_name)
     assert table[args] is first
     del table[args]
-    limit = series.CACHE_LIMIT
-    set_cache_limit(len(table))
-    try:
+    with monkeypatch.context() as m:
+        m.setattr(series, "CACHE_LIMIT", len(table))
         again = fn(*args)
-    finally:
-        set_cache_limit(limit)
     assert again == first and again is not first and args not in table
 
 

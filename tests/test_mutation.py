@@ -86,7 +86,7 @@ def compute_pin_drift(capsys):
 
 def test_unmutated_tiny_suites_pass(tmp_path, capsys):
     for suite in ("partitions", "prodred", "schur", "vertex", "k", "kgen", "sun",
-                  "nekrasov-su2"):
+                  "nekrasov-su2", "nekrasov-sun"):
         assert tiny_failures(suite, tmp_path, capsys) == (0, [])
 
 
@@ -148,9 +148,18 @@ def test_z_su2_grading_by_one_weight_is_caught(mutate, tmp_path, capsys):
 
 
 def test_square_without_doubled_cross_terms_is_caught(mutate, tmp_path, capsys):
-    mutant = source_mutant(series.MultiQSeries.__mul__, "_cscale(p, 2) if square and j else p", "p")
+    mutant = source_mutant(series.MultiQSeries.__mul__, "p.scale(2) if square and j else p", "p")
     mutate(series.MultiQSeries, "__mul__", mutant)
     assert tiny_failures("sun", tmp_path, capsys)[0] > 0
+
+
+def test_sign_flipped_slot_monomial_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(nekrasov.sun_phi_slot, "sgn = (-1) ** (3 * n - 2)",
+                           "sgn = -(-1) ** (3 * n - 2)")
+    mutate(nekrasov, "sun_phi_slot", mutant)
+    failed, witnesses = tiny_failures("nekrasov-sun", tmp_path, capsys)
+    assert failed > 0
+    assert any(w.startswith("at [[") for w in witnesses)
 
 
 def test_ktilde_brute_missing_a_chain_tuple_is_caught(mutate, tmp_path, capsys):

@@ -10,7 +10,7 @@ from vertexcalc.series import (EXP_LIMIT, LaurentFraction, LaurentPoly, Mismatch
                                MultiPoly, MultiQSeries, QSeries, expand_in_q,
                                expand_in_q_multi, fraction_json, memo,
                                multiqseries_json, pack, poly_terms_json,
-                               qseries_json, same, set_cache_limit, unpack)
+                               qseries_json, same, unpack)
 
 
 def mono(c, key):
@@ -256,7 +256,22 @@ def test_multiqseries_exp_two_axes():
     assert x.shift((0, 2)) == MultiQSeries(dims, {(1, 2): Fraction(1)})
 
 
-def test_memo_table_policy():
+def test_series_coefficients_are_fractions():
+    qs = MultiQSeries((3,), {(0,): 2, (1,): Fraction(1, 3), (2,): mono(1, (1,))})
+    assert all(type(v) is LaurentFraction for v in qs.c.values())
+    assert qs.get((0,)) == 2 and qs.get((1,)) == Fraction(1, 3)
+    assert qs.get((2,)) == LaurentFraction.monomial(1, (1,))
+    with pytest.raises(TypeError):
+        MultiQSeries((1,), {(0,): "1"})
+    missing = qs.get((3,))
+    assert type(missing) is LaurentFraction and missing == 0 and not missing
+    const = MultiQSeries((2,), {(1,): 1}).exp().get((0,))
+    assert type(const) is LaurentFraction and const == 1
+    # scaling by zero leaves no zero coefficient behind
+    assert qs.scale(0).c == {} and qs.scale(LaurentFraction.zero()).c == {}
+
+
+def test_memo_table_policy(monkeypatch):
     table: dict = {}
     runs = []
 
@@ -270,14 +285,11 @@ def test_memo_table_policy():
     assert size_poly((2, 1)) is first
     assert runs == [(2, 1)] and list(table) == [((2, 1),)]
 
-    limit = series.CACHE_LIMIT
-    set_cache_limit(len(table))
-    try:
+    with monkeypatch.context() as m:
+        m.setattr(series, "CACHE_LIMIT", len(table))
         assert size_poly((3,)) == mono(1, (3,))
         size_poly((3,))
         assert runs == [(2, 1), (3,), (3,)] and len(table) == 1
-    finally:
-        set_cache_limit(limit)
 
     with pytest.raises(ValueError):
         size_poly((1, 2))
@@ -379,7 +391,9 @@ def test_json_shapes():
     fj = fraction_json(fr)
     assert set(fj) == {"num", "den"}
     qs = MultiQSeries((2,), {(0,): Fraction(1), (2,): fr})
-    assert qseries_json(qs) == {"trunc": 2, "coeffs": ["1", "0", fj]}
+    one = {"num": [[0, "1"]], "den": [[0, "1"]]}
+    # a number coefficient is stored as a fraction; an absent key stays "0"
+    assert qseries_json(qs) == {"trunc": 2, "coeffs": [one, "0", fj]}
     ms = MultiQSeries((1, 1), {(1, 0): Fraction(2)})
     mj = multiqseries_json(ms)
     assert mj["dims"] == [1, 1]
