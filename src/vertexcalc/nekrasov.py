@@ -19,17 +19,8 @@ from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
 _FPS_CACHE: dict = {}
 
 
-def pair_sweep(bdeg: int):
-    """Ordered partition pairs with weight sum at most bdeg."""
-    out = []
-    for a in all_partitions(bdeg):
-        for b in all_partitions(bdeg - weight(a)):
-            out.append((a, b))
-    return out
-
-
 def pair_layer(total: int):
-    """The pairs of pair_sweep(total) whose weight sum is exactly total, in its order."""
+    """The pairs of tuple_sweep(2, total) whose weight sum is exactly total, in its order."""
     for a in all_partitions(total):
         for b in partitions_of(total - weight(a)):
             yield a, b
@@ -65,7 +56,7 @@ def _framed_pair_square(mu1, mu2, m: int, fdeg: int) -> MultiQSeries:
 def z_su2(m: int, bdeg: int, fdeg: int) -> MultiQSeries:
     """Rank-2 sum over partition pairs, graded by (base, fiber) degree."""
     terms: dict = {}
-    for mu1, mu2 in pair_sweep(bdeg):
+    for mu1, mu2 in tuple_sweep(2, bdeg):
         mu1 = normalize(mu1)
         mu2 = normalize(mu2)
         b = weight(mu1) + weight(mu2)
@@ -90,7 +81,7 @@ def z_su2_sinh_term(mu1, mu2, m: int) -> LaurentFraction:
 
 def z_su2_sinh_side(m: int, bdeg: int):
     """Exact termwise table of the rank-2 sinh side."""
-    return [(a, b, z_su2_sinh_term(a, b, m)) for a, b in pair_sweep(bdeg)]
+    return [(a, b, z_su2_sinh_term(a, b, m)) for a, b in tuple_sweep(2, bdeg)]
 
 
 def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
@@ -189,15 +180,14 @@ def z_sun(n: int, bdeg: int, dims) -> dict:
     entries = []
     for mus in tuple_sweep(n, bdeg):
         mus = tuple(normalize(mu) for mu in mus)
+        sun_tuple_identity(n, mus, dims)
         entries.append({"mus": [list(mu) for mu in mus],
-                        "identity": sun_tuple_identity(n, mus, dims),
                         "phi_model": sun_phi_model(n, mus)})
     return {
         "n": n,
         "bdeg": bdeg,
         "dims": list(dims),
         "entries": entries,
-        "identity_all": all(e["identity"] for e in entries),
         "phi_model_all": all(e["phi_model"] for e in entries),
     }
 

@@ -1,8 +1,11 @@
 """Schur functions: expansion coefficients and principal specializations.
 
 Two kinds of objects live here.  Polynomial-valued Schur and skew Schur
-functions in finitely many letters (MultiPoly) back the Cauchy-type series
-verifications and serve as independent oracles.  Fraction-valued principal
+functions in finitely many letters back the Cauchy-type series
+verifications and serve as independent oracles; those checks run on a
+one-axis MultiQSeries whose variable z counts total degree (each letter
+x becomes z*x), so the box cuts at a total degree and the z^d coefficient
+is a LaurentPoly in the letters.  Fraction-valued principal
 specializations (LaurentFraction in the half-power variable t) feed the
 amplitude layer; the key evaluation is schur_at_mu_rho, the Schur function
 at the shifted geometric alphabet attached to a background partition.
@@ -15,7 +18,7 @@ from collections import Counter
 from .partitions import (all_partitions, conjugate, contains, hooks, kappa,
                          normalize, subpartitions, weight)
 from .prodred import bracket
-from .series import LaurentFraction, LaurentPoly, MultiPoly, memo, same
+from .series import LaurentFraction, LaurentPoly, MultiQSeries, memo, same
 
 _LR_CACHE: dict = {}
 _SSYT_CACHE: dict = {}
@@ -108,22 +111,36 @@ def _ssyt_weights(lam, eta, nletters: int) -> dict:
     return dict(out)
 
 
-def skew_schur_poly(lam, eta, nvars: int, trunc: int, first_axis: int, nletters: int) -> MultiPoly:
-    """Skew Schur polynomial in letters occupying a window of ring axes."""
+def skew_schur_poly(lam, eta, trunc: int, first_axis: int, nletters: int) -> MultiQSeries:
+    """Skew Schur polynomial in nletters letters on the axes from first_axis on.
+
+    A series graded by total degree: its one term sits at |lam| - |eta|,
+    and it is empty above trunc or when eta does not fit in lam.
+    """
     deg = weight(lam) - weight(eta)
-    if deg > trunc:
-        return MultiPoly.zero(nvars, trunc)
+    if not 0 <= deg <= trunc:
+        return MultiQSeries((trunc,))
     acc: Counter = Counter()
     for wvec, mult in _ssyt_weights(lam, eta, nletters).items():
-        key = [0] * nvars
-        for i, e in enumerate(wvec):
-            key[first_axis + i] = e
-        acc[tuple(key)] += mult
-    return MultiPoly(nvars, trunc, acc)
+        acc[(0,) * first_axis + wvec] += mult
+    return MultiQSeries((trunc,), {(deg,): LaurentPoly(acc)})
 
 
-def schur_poly(mu, nvars: int, trunc: int, first_axis: int, nletters: int) -> MultiPoly:
-    return skew_schur_poly(mu, (), nvars, trunc, first_axis, nletters)
+def schur_poly(mu, trunc: int, first_axis: int, nletters: int) -> MultiQSeries:
+    return skew_schur_poly(mu, (), trunc, first_axis, nletters)
+
+
+def _geometric(key, trunc: int) -> MultiQSeries:
+    """1/(1 - x^key) graded by total degree, cut above trunc; key is not zero."""
+    d = sum(key)
+    return MultiQSeries((trunc,), {(j * d,): LaurentPoly.term(1, [j * e for e in key])
+                                   for j in range(trunc // d + 1)})
+
+
+def _flat(s: MultiQSeries) -> LaurentPoly:
+    """A degree-graded series as one polynomial in its letters, so that a
+    mismatch names one monomial."""
+    return LaurentFraction.sum(s.c.values()).as_poly()
 
 
 def principal_schur_finite(mu, n: int) -> LaurentPoly:
@@ -226,35 +243,33 @@ def verify_skew_cauchy(mu, nu, nx: int, ny: int, trunc: int) -> bool:
     """
     mu = normalize(mu)
     nu = normalize(nu)
-    nvars = nx + ny
     wmax = max(weight(mu), weight(nu)) + trunc
-    lhs = MultiPoly.zero(nvars, trunc)
+    lhs = MultiQSeries((trunc,))
     for lam in all_partitions(wmax):
         wl = weight(lam)
         if 2 * wl - weight(mu) - weight(nu) > trunc:
             continue
         if not (contains(mu, lam) and contains(nu, lam)):
             continue
-        a = skew_schur_poly(lam, mu, nvars, trunc, 0, nx)
-        if not a.d:
+        a = skew_schur_poly(lam, mu, trunc, 0, nx)
+        if not a.c:
             continue
-        b = skew_schur_poly(lam, nu, nvars, trunc, nx, ny)
-        if not b.d:
+        b = skew_schur_poly(lam, nu, trunc, nx, ny)
+        if not b.c:
             continue
         lhs = lhs + a * b
-    kern = MultiPoly.one(nvars, trunc)
+    kern = MultiQSeries.one((trunc,))
     for i in range(nx):
         for j in range(ny):
-            xy = MultiPoly(nvars, trunc, {tuple(1 if a in (i, nx + j) else 0 for a in range(nvars)): 1})
-            kern = kern * xy.geometric()
-    rhs = MultiPoly.zero(nvars, trunc)
+            kern = kern * _geometric([1 if a in (i, nx + j) else 0 for a in range(nx + ny)], trunc)
+    rhs = MultiQSeries((trunc,))
     for tau in subpartitions(mu if weight(mu) <= weight(nu) else nu):
         if not (contains(tau, mu) and contains(tau, nu)):
             continue
-        a = skew_schur_poly(nu, tau, nvars, trunc, 0, nx)
-        b = skew_schur_poly(mu, tau, nvars, trunc, nx, ny)
+        a = skew_schur_poly(nu, tau, trunc, 0, nx)
+        b = skew_schur_poly(mu, tau, trunc, nx, ny)
         rhs = rhs + a * b
-    return same(lhs, kern * rhs)
+    return same(_flat(lhs), _flat(kern * rhs))
 
 
 def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
@@ -265,8 +280,7 @@ def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
     (1 - Q_k...Q_{l-1} x^k y^{l-1})^(-1) kernels over 1 <= k < l <= N+1.
     """
     n = nletters
-    nq = nlegs
-    nvars = 2 * nlegs * n + nq
+    nvars = 2 * nlegs * n + nlegs
 
     def xaxis(k: int, i: int) -> int:
         return (k - 1) * n + i
@@ -274,45 +288,47 @@ def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
     def yaxis(k: int, i: int) -> int:
         return nlegs * n + (k - 1) * n + i
 
-    shapes = [p for p in all_partitions(trunc) if len(p) <= n]
-    lhs = MultiPoly.zero(nvars, trunc)
+    def qaxis(k: int) -> int:
+        return 2 * nlegs * n + k - 1
 
-    def rec(idx: int, chain: list, acc: MultiPoly):
+    shapes = [p for p in all_partitions(trunc) if len(p) <= n]
+    lhs = MultiQSeries((trunc,))
+
+    def rec(idx: int, chain: list, acc: MultiQSeries):
         nonlocal lhs
         if idx > nlegs:
-            lhs = lhs + acc * skew_schur_poly(chain[-1], (), nvars, trunc, yaxis(nlegs, 0), n)
+            lhs = lhs + acc * skew_schur_poly(chain[-1], (), trunc, yaxis(nlegs, 0), n)
             return
         for nu in shapes:
-            key = [0] * nvars
-            key[2 * nlegs * n + (idx - 1)] = weight(nu)
-            qpart = MultiPoly(nvars, trunc, {tuple(key): 1})
+            w = weight(nu)
+            qpart = MultiQSeries((trunc,), {(w,): LaurentPoly.var(qaxis(idx), w)})
             if idx == 1:
-                head = schur_poly(nu, nvars, trunc, xaxis(1, 0), n)
-                if head.d:
+                head = schur_poly(nu, trunc, xaxis(1, 0), n)
+                if head.c:
                     rec(2, [nu], acc * qpart * head)
             else:
                 prev = chain[-1]
-                link = MultiPoly.zero(nvars, trunc)
+                link = MultiQSeries((trunc,))
                 for eta in subpartitions(prev if weight(prev) <= weight(nu) else nu):
                     if not (contains(eta, prev) and contains(eta, nu)):
                         continue
-                    a = skew_schur_poly(prev, eta, nvars, trunc, yaxis(idx - 1, 0), n)
-                    b = skew_schur_poly(nu, eta, nvars, trunc, xaxis(idx, 0), n)
+                    a = skew_schur_poly(prev, eta, trunc, yaxis(idx - 1, 0), n)
+                    b = skew_schur_poly(nu, eta, trunc, xaxis(idx, 0), n)
                     link = link + a * b
-                if link.d:
+                if link.c:
                     rec(idx + 1, chain + [nu], acc * qpart * link)
 
-    rec(1, [], MultiPoly.one(nvars, trunc))
+    rec(1, [], MultiQSeries.one((trunc,)))
 
-    rhs = MultiPoly.one(nvars, trunc)
+    rhs = MultiQSeries.one((trunc,))
     for k in range(1, nlegs + 1):
         for l in range(k + 1, nlegs + 2):
             for i in range(n):
                 for j in range(n):
                     key = [0] * nvars
                     for a in range(k, l):
-                        key[2 * nlegs * n + (a - 1)] = 1
+                        key[qaxis(a)] = 1
                     key[xaxis(k, i)] += 1
                     key[yaxis(l - 1, j)] += 1
-                    rhs = rhs * MultiPoly(nvars, trunc, {tuple(key): 1}).geometric()
-    return same(lhs, rhs)
+                    rhs = rhs * _geometric(key, trunc)
+    return same(_flat(lhs), _flat(rhs))

@@ -837,126 +837,31 @@ class QSeries(MultiQSeries):
 
 
 class MultiPoly:
-    """Polynomials in nvars commuting variables, truncated by total degree."""
+    """Retired: the Cauchy-type checks run on a MultiQSeries graded by total degree.
 
-    __slots__ = ("nvars", "trunc", "d")
+    No methods.  The name stays because perfbench/tracer.py looks it up
+    on this module.
+    """
 
-    def __init__(self, nvars: int, trunc: int, d: Mapping | None = None):
-        self.nvars = nvars
-        self.trunc = trunc
-        dd = {}
-        if d:
-            for k, v in d.items():
-                k = tuple(k)
-                if len(k) != nvars:
-                    raise ValueError("key length does not match nvars")
-                if min(k, default=0) < 0:
-                    raise ValueError("negative exponent in a polynomial key")
-                if sum(k) <= trunc and v:
-                    dd[k] = _normval(v)
-        self.d = dd
-
-    @classmethod
-    def one(cls, nvars: int, trunc: int):
-        return cls(nvars, trunc, {tuple(0 for _ in range(nvars)): 1})
-
-    @classmethod
-    def zero(cls, nvars: int, trunc: int):
-        return cls(nvars, trunc)
-
-    @classmethod
-    def var(cls, nvars: int, trunc: int, axis: int, exp: int = 1):
-        key = [0] * nvars
-        key[axis] = exp
-        return cls(nvars, trunc, {tuple(key): 1})
-
-    def _check(self, other: "MultiPoly"):
-        if self.nvars != other.nvars or self.trunc != other.trunc:
-            raise ValueError("mismatched polynomial rings")
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.d)
-        for k, v in other.d.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-        r = MultiPoly(self.nvars, self.trunc)
-        r.d = out
-        return r
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        out: dict = {}
-        for k1, v1 in self.d.items():
-            s1 = sum(k1)
-            for k2, v2 in other.d.items():
-                if s1 + sum(k2) > self.trunc:
-                    continue
-                kk = tuple(a + b for a, b in zip(k1, k2))
-                w = out.get(kk, 0) + v1 * v2
-                if w:
-                    out[kk] = w
-                else:
-                    del out[kk]
-        r = MultiPoly(self.nvars, self.trunc)
-        r.d = {k: _normval(v) for k, v in out.items()}
-        return r
-
-    def scale(self, c):
-        r = MultiPoly(self.nvars, self.trunc)
-        if c:
-            r.d = {k: _normval(v * c) for k, v in self.d.items()}
-        return r
-
-    def geometric(self) -> "MultiPoly":
-        """Truncated 1/(1 - self); needs positive minimal total degree."""
-        if any(sum(k) == 0 for k in self.d):
-            raise ValueError("geometric series needs a vanishing constant term")
-        out = MultiPoly.one(self.nvars, self.trunc)
-        power = MultiPoly.one(self.nvars, self.trunc)
-        while True:
-            power = power * self
-            if not power.d:
-                return out
-            out = out + power
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        return self.d == other.d
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"MultiPoly(nvars={self.nvars}, trunc={self.trunc}, terms={len(self.d)})"
+    __slots__ = ()
 
 
 def _svec(key, naxes: int) -> tuple[int, ...]:
     return tuple((key[i + 1] if i + 1 < len(key) else 0) for i in range(naxes))
 
 
-def _expand_cells(fr: LaurentFraction, naxes: int, qdims) -> dict:
-    """Expand a fraction as a series in the s axes, t coefficients exact.
+def expand_in_q_multi(fr: LaurentFraction, dims) -> MultiQSeries:
+    """Expand a fraction into a box-truncated series in the Q variables.
 
-    The denominator must consist of pure-t factors plus binomials
-    1 + c * monomial whose monomial has a nonnegative, nonzero s part.
-    Returns raw cells keyed by s exponent vectors; callers decide how to
-    fold and which stray cells must vanish.
+    The t coefficients stay exact.  The denominator must consist of pure-t
+    factors plus binomials 1 + c * monomial whose monomial has a
+    nonnegative, nonzero s part.  Raises ArithmeticError when the
+    expression is not an honest Q series (odd s powers or negative Q
+    powers that fail to cancel).
     """
-    hi = tuple(2 * d for d in qdims)
+    dims = tuple(dims)
+    naxes = len(dims)
+    hi = tuple(2 * d for d in dims)
     pure: dict = {}
     bins = []
     for f, e in fr.den.items():
@@ -990,22 +895,9 @@ def _expand_cells(fr: LaurentFraction, naxes: int, qdims) -> dict:
                     coef = math.comb(g - 1 + j, j) * base ** j
                     term = val.scale(coef).shift((texp * j,)) if j else val
                     parts.setdefault(ww, []).append(term)
-                if not any(sv):
-                    break
                 j += 1
         sums = {w: LaurentFraction.sum(ts) for w, ts in parts.items()}
         cells = {w: v for w, v in sums.items() if not v.is_zero()}
-    return cells
-
-
-def expand_in_q_multi(fr: LaurentFraction, dims) -> MultiQSeries:
-    """Expand a fraction into a box-truncated series in the Q variables.
-
-    Raises ArithmeticError when the expression is not an honest Q series
-    (odd s powers or negative Q powers that fail to cancel).
-    """
-    dims = tuple(dims)
-    cells = _expand_cells(fr, len(dims), dims)
     out = {}
     for w, val in cells.items():
         if all(v >= 0 and v % 2 == 0 for v in w):
@@ -1066,8 +958,6 @@ def _keyed(x):
         return x.c, list
     if isinstance(x, LaurentPoly):
         return x._t, lambda k: list(unpack(k))
-    if isinstance(x, MultiPoly):
-        return x.d, list
     if isinstance(x, dict):
         return x, lambda k: k
     return None

@@ -186,10 +186,10 @@ def suite_f(params: dict) -> list[Check]:
                             lambda w=w: pair_laws(w)))
     checks.append(Check("two-variable-transpose", "total<=4",
                         lambda: all(fcoeff.verify_2var_transposed(a, b)
-                                    for a, b in nekrasov.pair_sweep(4))))
+                                    for a, b in nekrasov.tuple_sweep(2, 4))))
     checks.append(Check("two-variable-diagonal", "total<=4",
                         lambda: all(fcoeff.verify_2var_diagonal(a, b)
-                                    for a, b in nekrasov.pair_sweep(4))))
+                                    for a, b in nekrasov.tuple_sweep(2, 4))))
     return checks
 
 
@@ -235,7 +235,7 @@ def suite_vertex(params: dict) -> list[Check]:
                                     for b in all_partitions(3))))
 
     def trio(w):
-        for a, b in nekrasov.pair_sweep(w):
+        for a, b in nekrasov.tuple_sweep(2, w):
             for c in partitions_of(w - weight(a) - weight(b)):
                 vertex.verify_w3_transpose_all(a, b, c)
                 vertex.verify_w3_inversion(a, b, c)
@@ -253,16 +253,16 @@ def suite_k(params: dict) -> list[Check]:
     qdeg = _size(params, "qdeg", 5)
     checks = [Check("empty-pair-series", f"qdeg={qdeg}",
                     lambda: same(ksum.k_brute((), (), qdeg), ksum.k00_closed(qdeg)))]
-    for mu1, mu2 in nekrasov.pair_sweep(min(wmax, 4)):
+    for mu1, mu2 in nekrasov.tuple_sweep(2, min(wmax, 4)):
         checks.append(Check("pair-series-three-routes", f"{pstr(mu1)} {pstr(mu2)} qdeg={qdeg}",
                             lambda a=mu1, b=mu2: ksum.verify_thm_k(a, b, qdeg)))
-    for mu1, mu2 in nekrasov.pair_sweep(wmax):
+    for mu1, mu2 in nekrasov.tuple_sweep(2, wmax):
         checks.append(Check("transposed-pair-rational", f"{pstr(mu1)} {pstr(mu2)} qdeg={qdeg}",
                             lambda a=mu1, b=mu2: ksum.verify_thm_kt(a, b, qdeg)))
-    for mu1, mu2 in nekrasov.pair_sweep(wmax):
+    for mu1, mu2 in nekrasov.tuple_sweep(2, wmax):
         checks.append(Check("squared-sinh-normal-form", f"{pstr(mu1)} {pstr(mu2)}",
                             lambda a=mu1, b=mu2: ksum.verify_cor_ik2_and_ksinh(a, b)))
-    for mu1, mu2 in nekrasov.pair_sweep(min(wmax, 4)):
+    for mu1, mu2 in nekrasov.tuple_sweep(2, min(wmax, 4)):
         checks.append(Check("squared-series-expansion", f"{pstr(mu1)} {pstr(mu2)} qdeg={qdeg}",
                             lambda a=mu1, b=mu2: ksum.verify_ksinh_series(a, b, qdeg)))
     return checks
@@ -277,7 +277,7 @@ def suite_kgen(params: dict) -> list[Check]:
                             lambda a=mu1: all(ksum.verify_ktilde_pair_reduction(a, b, qdeg)
                                               for b in all_partitions(wmax))))
     dims2 = (min(qdeg, 3),)
-    for mu1, mu2 in nekrasov.pair_sweep(2):
+    for mu1, mu2 in nekrasov.tuple_sweep(2, 2):
         checks.append(Check("chain-closed-form", f"{pstr(mu1)} {pstr(mu2)} dims={list(dims2)}",
                             lambda a=mu1, b=mu2: ksum.verify_thm_kgen((a, b), dims2)))
     dims3 = (min(qdeg, 3), min(qdeg, 3))
@@ -296,7 +296,7 @@ def suite_sun(params: dict) -> list[Check]:
     wmax = min(_size(params, "max_weight", 2), 3)
     checks = []
     dims2 = (qdeg,)
-    for mu1, mu2 in nekrasov.pair_sweep(2):
+    for mu1, mu2 in nekrasov.tuple_sweep(2, 2):
         checks.append(Check("squared-chain-rank2", f"{pstr(mu1)} {pstr(mu2)} dims={list(dims2)}",
                             lambda a=mu1, b=mu2: ksum.verify_sun_squares((a, b), dims2)))
     dims3 = (qdeg, qdeg)
@@ -341,7 +341,7 @@ def suite_nekrasov_sun(params: dict) -> list[Check]:
 
     checks.append(Check("residual-decomposition-report", f"n={n} bdeg={bdeg}",
                         residual_report))
-    for mu1, mu2 in nekrasov.pair_sweep(2):
+    for mu1, mu2 in nekrasov.tuple_sweep(2, 2):
         checks.append(Check("rank2-chain-consistency", f"{pstr(mu1)} {pstr(mu2)} qdeg=3",
                             lambda a=mu1, b=mu2: nekrasov.verify_sun_pair_consistency(a, b, 3)))
     return checks

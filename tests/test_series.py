@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vertexcalc import series
 from vertexcalc.partitions import normalize
 from vertexcalc.series import (EXP_LIMIT, LaurentFraction, LaurentPoly, Mismatch,
-                               MultiPoly, MultiQSeries, QSeries, expand_in_q,
+                               MultiQSeries, QSeries, expand_in_q,
                                expand_in_q_multi, fraction_json, memo,
                                multiqseries_json, pack, poly_terms_json,
                                qseries_json, same, unpack)
@@ -378,13 +378,6 @@ def test_expand_in_q_multi_two_axes():
     assert all(ms.get((i, j)) == 1 for i in range(3) for j in range(3))
 
 
-def test_multipoly_geometric():
-    x = MultiPoly.var(2, 3, 0)
-    y = MultiPoly.var(2, 3, 1)
-    g = (x + y).geometric()
-    assert g.d[(1, 1)] == 2  # (x+y)^2 contributes 2xy
-
-
 def test_json_shapes():
     t = LaurentFraction.monomial(1, (1,))
     fr = t / (LaurentFraction.one() - t ** 2)
@@ -421,8 +414,9 @@ def test_same_returns_true_on_equal_sides():
     # s-major order, the order of LaurentPoly.terms(): t^2 before s
     (mono(1, (2,)) + mono(1, (0, 1)), LaurentPoly.zero(), 'at [2]: "1" != "0"'),
     ({(3,): 1, (2, 1): 1, (1,): 2}, {(3,): 2, (2, 1): 1}, 'at [1]: "2" != "0"'),
-    (MultiPoly(2, 3, {(0, 1): 1, (1, 0): Fraction(1, 2)}), MultiPoly(2, 3, {(0, 1): 1}),
-     'at [1,0]: "1/2" != "0"'),
+    # three axes: (0,2) before (1,0,1) before (0,0,2); trailing zeros trimmed
+    (mono(Fraction(1, 2), (1, 0, 1)) + mono(1, (0, 2)), mono(1, (0, 2)) + mono(1, (0, 0, 2)),
+     'at [1,0,1]: "1/2" != "0"'),
 ])
 def test_same_names_the_first_differing_key(lhs, rhs, witness):
     with pytest.raises(Mismatch) as exc:
