@@ -6,9 +6,12 @@ coefficient function (exp form) or for the reduced exponent multiset
 (factored product form).  The transposed variant admits an exact sinh
 normal form on the half-power lattice (s = Q**(1/2), axis 1 and up),
 which is what the squared rank-N identities are built from.  The
-rank-2 sinh side (the squared transposed pair) is the two-slot case of
-sun_square_fraction, shifted by t**(-2 kappa(mu2)); it has no builder of
-its own.
+rank-N sinh side, sun_square_fraction, is the gauge route: every block
+is Nekrasov's pair factor gauge_block, built from arm and leg lengths
+(prodred.nekrasov_multiset), so it shares no combinatorics with the
+closed side, which reads the row-pair multiset (prodred.pair_multiset).
+The rank-2 sinh side (the squared transposed pair) is its two-slot case,
+shifted by t**(-2 kappa(mu2)); it has no builder of its own.
 
 Everything here is exact: series coefficients are Laurent fractions in
 t, and the sinh-side equalities are fraction equalities, never truncated
@@ -16,7 +19,7 @@ comparisons.
 
 The kgen and sun suites sweep the same chains, so each chain value is
 computed once per process: ktilde_brute (brute side), k00_chain_product
-(closed side of kgen), k00_chain_square and hook_sinh_block (sinh side)
+(closed side of kgen), k00_chain_square and gauge_block (sinh side)
 are memoized like k_brute, keyed on their raw arguments.  Pass mus as a tuple
 of partition tuples and dims as a tuple; the verify_* functions normalize
 list arguments before they reach a memo table.  The rank-2 sinh sides
@@ -30,7 +33,7 @@ from fractions import Fraction
 
 from .fcoeff import c_coeffs, f_pair
 from .partitions import all_partitions, conjugate, kappa, normalize, partitions_of, weight
-from .prodred import (bracket, diag_block_ratio, one_minus_qq, pair_multiset,
+from .prodred import (bracket, nekrasov_multiset, one_minus_qq, pair_multiset,
                       product_over, sinh_factor)
 from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
 from .vertex import w1, w2, w3
@@ -40,7 +43,7 @@ _KB_CACHE: dict = {}
 _KT_CACHE: dict = {}
 _K00P_CACHE: dict = {}
 _K00SQ_CACHE: dict = {}
-_HOOK_CACHE: dict = {}
+_GAUGE_CACHE: dict = {}
 
 
 @memo(_KB_CACHE)
@@ -96,12 +99,6 @@ def k_transposed_rational(mu1, mu2) -> LaurentFraction:
     """
     fr = w1(mu1) * w1(conjugate(mu2))
     return fr * product_over(pair_multiset(mu1, mu2), one_minus_qq)
-
-
-@memo(_HOOK_CACHE)
-def hook_sinh_block(mu) -> LaurentFraction:
-    """Diagonal sinh block of one partition in hook form (pure t)."""
-    return diag_block_ratio(mu, lambda m: sinh_factor(m, ()))
 
 
 def verify_thm_kt(mu1, mu2, trunc: int) -> bool:
@@ -241,31 +238,41 @@ def verify_thm_kgen(mus, dims) -> bool:
     return same(ktilde_brute(mus, dims), kgen_closed(mus, dims))
 
 
+@memo(_GAUGE_CACHE)
+def gauge_block(mu, nu, shift) -> LaurentFraction:
+    """Nekrasov's pair factor: the sinh product over nekrasov_multiset(mu, nu).
+
+    shift is the fraction exponent key the chain variables enter with;
+    at mu = nu it is zero, and the block is (-1)**|mu| times the
+    inverse square of the sinh factors of the hook lengths of mu.
+    """
+    return product_over(nekrasov_multiset(mu, nu), lambda m: sinh_factor(m, shift))
+
+
 def sun_square_fraction(mus, naxes: int) -> LaurentFraction:
     """Sinh-block fraction whose expansion matches the squared chain series.
 
-    Carries the monomial prefactor (powers of 2, of t through the kappa
-    ladder, and negative powers of each chain variable), the diagonal
-    hook blocks, and the squared off-diagonal sinh blocks.
+    The product over slots k <= l of Nekrasov's pair factor of mus[k-1]
+    and mus[l-1], shifted by the chain variables k..l-1 and squared off
+    the diagonal, times the monomial prefactor: powers of 2, the sign
+    (-1)**(sum of weights) of the diagonal blocks, t to the kappa ladder,
+    and negative powers of each chain variable.
     """
     mus = [normalize(m) for m in mus]
     n = len(mus)
     wsum = sum(weight(m) for m in mus)
     fr = LaurentFraction.one()
-    for mu in mus:
-        fr = fr * hook_sinh_block(mu)
     for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            pm = pair_multiset(mus[k - 1], mus[l - 1])
-            sh = _ray_key(naxes, k, l, 1)
-            fr = fr * product_over(pm, lambda m, s=sh: sinh_factor(m, s)) ** 2
+        for l in range(k, n + 1):
+            blk = gauge_block(mus[k - 1], mus[l - 1], _ray_key(naxes, k, l, 1))
+            fr = fr * (blk if k == l else blk ** 2)
     shift = [0] * (naxes + 1)
     shift[0] = -sum((n - 2 * k) * kappa(mus[k - 1]) for k in range(1, n + 1))
     for k in range(1, n):
         ek = ((n - k) * sum(weight(mus[i - 1]) for i in range(1, k + 1))
               + k * sum(weight(mus[i - 1]) for i in range(k + 1, n + 1)))
         shift[k] = -2 * ek
-    return fr.scale(Fraction(1, 2 ** (2 * n * wsum))).shift(tuple(shift))
+    return fr.scale(Fraction((-1) ** wsum, 2 ** (2 * n * wsum))).shift(tuple(shift))
 
 
 def verify_sun_squares(mus, dims) -> bool:

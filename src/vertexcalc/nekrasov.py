@@ -79,18 +79,13 @@ def z_su2_sinh_term(mu1, mu2, m: int) -> LaurentFraction:
     return four.scale(sgn).shift((-m * (kappa(mu1) + kappa(mu2)), 2 * m * weight(mu2)))
 
 
-def z_su2_sinh_side(m: int, bdeg: int):
-    """Exact termwise table of the rank-2 sinh side."""
-    return [(a, b, z_su2_sinh_term(a, b, m)) for a, b in tuple_sweep(2, bdeg)]
-
-
 def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
     """Termwise sinh identity, then the graded aggregate."""
     k0sq = k00_chain_square((fdeg,), 2)
     agg = {b: MultiQSeries((fdeg,)) for b in range(bdeg + 1)}
-    for mu1, mu2, fr in z_su2_sinh_side(m, bdeg):
+    for mu1, mu2 in tuple_sweep(2, bdeg):
         lhs = _framed_pair_square(mu1, mu2, m, fdeg)
-        rhs = k0sq * expand_in_q_multi(fr, (fdeg,))
+        rhs = k0sq * expand_in_q_multi(z_su2_sinh_term(mu1, mu2, m), (fdeg,))
         same(lhs, rhs)
         b = weight(normalize(mu1)) + weight(normalize(mu2))
         agg[b] = agg[b] + rhs
@@ -163,33 +158,6 @@ def sun_tuple_identity(n: int, mus, dims) -> bool:
     fr = sun_square_fraction(mus, len(dims)) * framing
     rhs = k00_chain_square(dims, n) * expand_in_q_multi(fr, dims)
     return same(lhs, rhs)
-
-
-def z_sun(n: int, bdeg: int, dims) -> dict:
-    """Rank-n framed chain sum at twist zero, checked per tuple.
-
-    For every tuple the framed squared chain series is matched against
-    the expanded sinh-block normal form, and a mismatch raises Mismatch.
-    The residual monomial is then factored through the weight-one slot
-    monomials times the kappa ladder; the outcome of that decomposition
-    is reported, not asserted.
-    """
-    dims = tuple(dims)
-    if len(dims) != n - 1:
-        raise ValueError("need one truncation per chain variable")
-    entries = []
-    for mus in tuple_sweep(n, bdeg):
-        mus = tuple(normalize(mu) for mu in mus)
-        sun_tuple_identity(n, mus, dims)
-        entries.append({"mus": [list(mu) for mu in mus],
-                        "phi_model": sun_phi_model(n, mus)})
-    return {
-        "n": n,
-        "bdeg": bdeg,
-        "dims": list(dims),
-        "entries": entries,
-        "phi_model_all": all(e["phi_model"] for e in entries),
-    }
 
 
 def sun_phi_model(n: int, mus) -> bool:

@@ -65,10 +65,6 @@ def hooks(mu) -> list[int]:
     return out
 
 
-def hook_multiset(mu) -> Counter:
-    return Counter(hooks(mu))
-
-
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of n in descending lexicographic order."""
     if max_part is None or max_part > n:

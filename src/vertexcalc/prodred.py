@@ -2,8 +2,12 @@
 
 A reduced product is stored as a map from integer exponents to (usually
 negative) multiplicities.  Feeding such a map and a factor constructor to
-product_over yields the corresponding rational function; three factor
-families cover everything downstream:
+product_over yields the corresponding rational function.  Two routes
+build the multiset of a partition pair: pair_multiset sums over row
+pairs, as the vertex side reads it, and nekrasov_multiset reads arm and
+leg lengths, as Nekrasov's gauge factor does.  They share no code; their
+equality is the combinatorial lemma behind the paper's theorem.  Three
+factor families cover everything downstream:
 
 * bracket(m): t^m - t^(-m),
 * one_minus_qq(m, shift): 1 - t^(2m) * monomial(shift), the building block
@@ -17,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .partitions import conjugate, contents, hook_multiset, normalize
+from .partitions import conjugate, contents, normalize
 from .series import LaurentFraction, LaurentPoly
 
 
@@ -85,17 +89,22 @@ def pair_multiset(mu1, mu2) -> dict[int, int]:
     return {m: c for m, c in out.items() if c}
 
 
-def diag_block_ratio(mu, factor: Callable[[int], LaurentFraction]) -> LaurentFraction:
-    """Product of factor(h)**(-2) over the hooks of mu.
+def nekrasov_multiset(mu, nu) -> dict[int, int]:
+    """Exponent multiset of Nekrasov's pair factor, by arm and leg lengths.
 
-    Only odd factors make sense here: factor(-m) must equal -factor(m).
+    With a_mu(i,j) = mu_i - j and l_nu(i,j) = nu'_j - i (negative outside
+    nu), each cell s of mu gives a_mu(s) + l_nu(s) + 1 and each cell s of
+    nu gives -(a_nu(s) + l_mu(s) + 1), every one with multiplicity -1.
     """
-    probe = factor(1) + factor(-1)
-    if not probe.is_zero():
-        raise ValueError("diagonal blocks need an odd factor family")
     mu = normalize(mu)
-    ms = {h: -2 * mult for h, mult in hook_multiset(mu).items()}
-    return product_over(ms, factor)
+    nu = normalize(nu)
+    out: Counter = Counter()
+    for rows, cols, sgn in ((mu, conjugate(nu), 1), (nu, conjugate(mu), -1)):
+        for i, p in enumerate(rows, 1):
+            for j in range(1, p + 1):
+                leg = (cols[j - 1] if j <= len(cols) else 0) - i
+                out[sgn * (p - j + leg + 1)] -= 1
+    return dict(out)
 
 
 def multiset_json(ms: Mapping[int, int]) -> list[list[int]]:

@@ -530,7 +530,7 @@ class LaurentFraction:
         acc: dict = {}
         for t in terms:
             missing = {f: e - t.den.get(f, 0) for f, e in den.items() if e > t.den.get(f, 0)}
-            for k, v in (t.num * _den_expand(missing))._t.items():
+            for k, v in (t.num * _den_expand(missing) if missing else t.num)._t.items():
                 acc[k] = acc.get(k, 0) + v
         num = LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v})
         return cls._make(num, den)
@@ -647,7 +647,9 @@ class LaurentFraction:
                     del da[f]
                 if not db[f]:
                     del db[f]
-        return self.num * _den_expand(db) == o.num * _den_expand(da)
+        lhs = self.num * _den_expand(db) if db else self.num
+        rhs = o.num * _den_expand(da) if da else o.num
+        return lhs == rhs
 
     __hash__ = None
 

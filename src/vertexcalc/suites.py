@@ -10,6 +10,7 @@ flags override them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import fcoeff, ksum, nekrasov, schur, vertex
 from .partitions import (all_partitions, conjugate, contents, hooks, kappa,
@@ -17,11 +18,25 @@ from .partitions import (all_partitions, conjugate, contents, hooks, kappa,
                          verify_hook_identity, weight)
 from .prodred import bracket, one_minus_qq, pair_multiset, single_multiset, sinh_factor
 from .report import Check
-from .series import LaurentFraction, MultiQSeries, same
+from .series import LaurentFraction, Mismatch, MultiQSeries, same
 
 
 def pstr(mu) -> str:
     return "(" + ",".join(str(p) for p in normalize(mu)) + ")"
+
+
+def each(fn, sweep) -> None:
+    """Call fn(*args) for every args tuple of sweep, in order.
+
+    A Mismatch is raised again with the failing arguments in front of
+    its witness, partitions as pstr shows them: "(1) () (2): at [1]: ...".
+    """
+    for args in sweep:
+        try:
+            fn(*args)
+        except Mismatch as exc:
+            name = " ".join(pstr(a) if isinstance(a, tuple) else str(a) for a in args)
+            raise Mismatch(f"{name}: {exc}") from None
 
 
 def _size(params: dict, key: str, default: int) -> int:
@@ -53,25 +68,24 @@ def suite_partitions(params: dict) -> list[Check]:
     wmax = _size(params, "max_weight", 10)
     checks = []
 
-    def invariants(w):
-        for mu in partitions_of(w):
-            mc = conjugate(mu)
-            k = kappa(mu)
-            same(kappa(mc), -k)
-            same(k % 2, 0)
-            same(2 * sum(contents(mu)), k)
-            hs = hooks(mu)
-            same(len(hs), w)
-            same(sum(hs), sum(p * p for p in mu) - k // 2)
-            same(sorted(hooks(mc)), sorted(hs))
+    def invariants(mu, w):
+        mc = conjugate(mu)
+        k = kappa(mu)
+        same(kappa(mc), -k)
+        same(k % 2, 0)
+        same(2 * sum(contents(mu)), k)
+        hs = hooks(mu)
+        same(len(hs), w)
+        same(sum(hs), sum(p * p for p in mu) - k // 2)
+        same(sorted(hooks(mc)), sorted(hs))
 
     for w in range(wmax + 1):
         checks.append(Check("partition-invariants", f"weight={w}",
-                            lambda w=w: invariants(w)))
+                            lambda w=w: each(invariants, product(partitions_of(w), [w]))))
     for w in range(min(wmax, 8) + 1):
         checks.append(Check("hook-content-identity", f"weight={w} order=8",
-                            lambda w=w: all(verify_hook_identity(mu, 8)
-                                            for mu in partitions_of(w))))
+                            lambda w=w: each(verify_hook_identity,
+                                             product(partitions_of(w), [8]))))
     checks.append(Check("enumeration-count", f"max={wmax}",
                         lambda: same([sum(1 for _ in partitions_of(n)) for n in range(wmax + 1)],
                                      euler_counts(wmax))))
@@ -82,27 +96,27 @@ def suite_prodred(params: dict) -> list[Check]:
     wmax = _size(params, "max_weight", 8)
     checks = []
 
-    def normal_form(w):
-        for mu1, mu2 in nekrasov.pair_layer(w):
-            pm = pair_multiset(mu1, mu2)
-            same({m: c for m, c in pm.items() if c >= 0}, {})
-            same(-sum(pm.values()), w)
-            same(2 * sum(m * c for m, c in pm.items()), -(kappa(mu1) - kappa(mu2)))
-            same(pair_multiset(mu2, mu1), {-m: c for m, c in pm.items()})
+    def normal_form(mu1, mu2, w):
+        pm = pair_multiset(mu1, mu2)
+        same({m: c for m, c in pm.items() if c >= 0}, {})
+        same(-sum(pm.values()), w)
+        same(2 * sum(m * c for m, c in pm.items()), -(kappa(mu1) - kappa(mu2)))
+        same(pair_multiset(mu2, mu1), {-m: c for m, c in pm.items()})
 
     for w in range(wmax + 1):
         checks.append(Check("pair-multiset-normal-form", f"total={w}",
-                            lambda w=w: normal_form(w)))
+                            lambda w=w: each(normal_form,
+                                             ((a, b, w) for a, b in nekrasov.pair_layer(w)))))
     checks.append(Check("single-vs-pair-multiset", f"max={min(wmax, 6)}",
-                        lambda: all(same(pair_multiset(mu, ()), single_multiset(mu))
-                                    for mu in all_partitions(min(wmax, 6)))))
+                        lambda: each(lambda mu: same(pair_multiset(mu, ()), single_multiset(mu)),
+                                     product(all_partitions(min(wmax, 6))))))
 
-    def factor_forms():
-        for m in range(1, 5):
-            same(sinh_factor(m, ()), bracket(m).scale(Fraction(-1, 2)))
-            same(one_minus_qq(m), sinh_factor(m).scale(2).shift((m, 1)))
+    def factor_forms(m):
+        same(sinh_factor(m, ()), bracket(m).scale(Fraction(-1, 2)))
+        same(one_minus_qq(m), sinh_factor(m).scale(2).shift((m, 1)))
 
-    checks.append(Check("factor-normal-forms", "m=1..4", factor_forms))
+    checks.append(Check("factor-normal-forms", "m=1..4",
+                        lambda: each(factor_forms, product(range(1, 5)))))
     return checks
 
 
@@ -112,41 +126,38 @@ def suite_schur(params: dict) -> list[Check]:
     checks = []
     for w in range(wmax + 1):
         checks.append(Check("principal-vs-tableaux", f"weight={w} deg={deg}",
-                            lambda w=w: all(schur.verify_principal_against_finite(mu, deg)
-                                            for mu in partitions_of(w))))
+                            lambda w=w: each(schur.verify_principal_against_finite,
+                                             product(partitions_of(w), [deg]))))
 
-    def lr_laws(w):
-        for lam in partitions_of(w):
-            for eta in subpartitions(lam):
-                tab = schur.lr_coeffs(lam, eta)
-                same({nu: schur.lr_coeffs(lam, nu).get(eta, 0) for nu in tab}, tab)
-                same(schur.lr_coeffs(conjugate(lam), conjugate(eta)),
-                     {conjugate(nu): c for nu, c in tab.items()})
+    def lr_laws(lam, eta):
+        tab = schur.lr_coeffs(lam, eta)
+        same({nu: schur.lr_coeffs(lam, nu).get(eta, 0) for nu in tab}, tab)
+        same(schur.lr_coeffs(conjugate(lam), conjugate(eta)),
+             {conjugate(nu): c for nu, c in tab.items()})
 
     for w in range(min(wmax, 5) + 1):
         checks.append(Check("littlewood-richardson-laws", f"weight={w}",
-                            lambda w=w: lr_laws(w)))
+                            lambda w=w: each(lr_laws, ((lam, eta) for lam in partitions_of(w)
+                                                       for eta in subpartitions(lam)))))
 
-    def principal_symmetries(w):
-        for mu in partitions_of(w):
-            ps = schur.principal_schur(mu)
-            same(schur.principal_schur(conjugate(mu)), ps.shift((kappa(mu),)))
-            same(ps.invert_vars(), schur.principal_schur(conjugate(mu)).scale((-1) ** w))
+    def principal_symmetries(mu, w):
+        ps = schur.principal_schur(mu)
+        same(schur.principal_schur(conjugate(mu)), ps.shift((kappa(mu),)))
+        same(ps.invert_vars(), schur.principal_schur(conjugate(mu)).scale((-1) ** w))
 
     for w in range(min(wmax, 6) + 1):
         checks.append(Check("principal-symmetries", f"weight={w}",
-                            lambda w=w: principal_symmetries(w)))
+                            lambda w=w: each(principal_symmetries,
+                                             product(partitions_of(w), [w]))))
     checks.append(Check("background-evaluations", "nu<=4",
-                        lambda: all(schur.verify_schur_at_empty(nu)
-                                    for nu in all_partitions(4))))
+                        lambda: each(schur.verify_schur_at_empty, product(all_partitions(4)))))
     checks.append(Check("background-conjugation", "nu,mu<=3",
-                        lambda: all(schur.verify_schur_at_conjugation(nu, mu)
-                                    for nu in all_partitions(3)
-                                    for mu in all_partitions(3))))
+                        lambda: each(schur.verify_schur_at_conjugation,
+                                     product(all_partitions(3), all_partitions(3)))))
     checks.append(Check("skew-duality", "lam<=4",
-                        lambda: all(schur.verify_skew_duality(lam, eta)
-                                    for lam in all_partitions(4)
-                                    for eta in subpartitions(lam))))
+                        lambda: each(schur.verify_skew_duality,
+                                     ((lam, eta) for lam in all_partitions(4)
+                                      for eta in subpartitions(lam)))))
     for mu in all_partitions(2):
         for nu in all_partitions(2):
             checks.append(Check("skew-cauchy", f"{pstr(mu)} {pstr(nu)} vars=2+2 order=4",
@@ -161,35 +172,32 @@ def suite_f(params: dict) -> list[Check]:
     wmax = _size(params, "max_weight", 8)
     checks = []
 
-    def single_forms(w):
-        for mu in partitions_of(w):
-            direct = fcoeff.f_one(mu)
-            same(direct, fcoeff.f_one_rows(mu))
-            same(LaurentFraction.from_poly(direct), fcoeff.f_one_closed(mu))
+    def single_forms(mu):
+        direct = fcoeff.f_one(mu)
+        same(direct, fcoeff.f_one_rows(mu))
+        same(LaurentFraction.from_poly(direct), fcoeff.f_one_closed(mu))
 
     for w in range(min(wmax, 8) + 1):
         checks.append(Check("single-partition-forms", f"weight={w}",
-                            lambda w=w: single_forms(w)))
+                            lambda w=w: each(single_forms, product(partitions_of(w)))))
     checks.append(Check("row-pair-closed-form", "m,n<=5",
-                        lambda: all(same(fcoeff.f_row_pair(m, n), fcoeff.f_pair((m,), (n,)))
-                                    for m in range(1, 6) for n in range(1, 6))))
+                        lambda: each(lambda m, n: same(fcoeff.f_row_pair(m, n),
+                                                       fcoeff.f_pair((m,), (n,))),
+                                     product(range(1, 6), range(1, 6)))))
 
-    def pair_laws(w):
-        for mu1, mu2 in nekrasov.pair_layer(w):
-            fcoeff.verify_coeff_sums(mu1, mu2)
-            fcoeff.verify_pair_conjugation(mu1, mu2)
-            fcoeff.verify_multiset_rebuild(mu1, mu2)
-            same({k: c for k, c in fcoeff.c_coeffs(mu1, conjugate(mu2)).items() if c < 0}, {})
+    def pair_laws(mu1, mu2):
+        fcoeff.verify_coeff_sums(mu1, mu2)
+        fcoeff.verify_pair_conjugation(mu1, mu2)
+        fcoeff.verify_multiset_rebuild(mu1, mu2)
+        same({k: c for k, c in fcoeff.c_coeffs(mu1, conjugate(mu2)).items() if c < 0}, {})
 
     for w in range(wmax + 1):
         checks.append(Check("pair-coefficient-laws", f"total={w}",
-                            lambda w=w: pair_laws(w)))
+                            lambda w=w: each(pair_laws, nekrasov.pair_layer(w))))
     checks.append(Check("two-variable-transpose", "total<=4",
-                        lambda: all(fcoeff.verify_2var_transposed(a, b)
-                                    for a, b in nekrasov.tuple_sweep(2, 4))))
+                        lambda: each(fcoeff.verify_2var_transposed, nekrasov.tuple_sweep(2, 4))))
     checks.append(Check("two-variable-diagonal", "total<=4",
-                        lambda: all(fcoeff.verify_2var_diagonal(a, b)
-                                    for a, b in nekrasov.tuple_sweep(2, 4))))
+                        lambda: each(fcoeff.verify_2var_diagonal, nekrasov.tuple_sweep(2, 4))))
     return checks
 
 
@@ -198,53 +206,47 @@ def suite_vertex(params: dict) -> list[Check]:
     checks = []
     for w in range(min(wmax, 8) + 1):
         checks.append(Check("one-leg-routes", f"weight={w}",
-                            lambda w=w: all(vertex.verify_w1_routes(mu)
-                                            for mu in partitions_of(w))))
+                            lambda w=w: each(vertex.verify_w1_routes, product(partitions_of(w)))))
 
-    def one_leg_symmetries(w):
-        for mu in partitions_of(w):
-            a = vertex.w1(mu)
-            same(vertex.w1(conjugate(mu)).shift((kappa(mu),)), a)
-            same(a.invert_vars(), a.scale((-1) ** w).shift((-kappa(mu),)))
+    def one_leg_symmetries(mu, w):
+        a = vertex.w1(mu)
+        same(vertex.w1(conjugate(mu)).shift((kappa(mu),)), a)
+        same(a.invert_vars(), a.scale((-1) ** w).shift((-kappa(mu),)))
 
     for w in range(min(wmax, 4) + 1):
         checks.append(Check("one-leg-symmetries", f"weight={w}",
-                            lambda w=w: one_leg_symmetries(w)))
+                            lambda w=w: each(one_leg_symmetries,
+                                             product(partitions_of(w), [w]))))
 
-    def two_leg(w):
-        for mu, nu in nekrasov.pair_layer(w):
-            vertex.verify_w2_routes(mu, nu)
-            vertex.verify_w2_symmetry(mu, nu)
+    def two_leg(mu, nu):
+        vertex.verify_w2_routes(mu, nu)
+        vertex.verify_w2_symmetry(mu, nu)
 
     for w in range(min(wmax, 5) + 1):
         checks.append(Check("two-leg-routes", f"total={w}",
-                            lambda w=w: two_leg(w)))
+                            lambda w=w: each(two_leg, nekrasov.pair_layer(w))))
     for mu1 in all_partitions(3):
         checks.append(Check("three-leg-routes", f"mu1={pstr(mu1)} legs<=3",
-                            lambda mu1=mu1: all(vertex.verify_w3_routes(mu1, b, c)
-                                                for b in all_partitions(3)
-                                                for c in all_partitions(3))))
+                            lambda mu1=mu1: each(vertex.verify_w3_routes,
+                                                 product([mu1], all_partitions(3),
+                                                         all_partitions(3)))))
     checks.append(Check("three-leg-cyclic", "legs<=3",
-                        lambda: all(vertex.verify_w3_cyclic(a, b, c)
-                                    for a in all_partitions(3)
-                                    for b in all_partitions(3)
-                                    for c in all_partitions(3))))
+                        lambda: each(vertex.verify_w3_cyclic, product(all_partitions(3), repeat=3))))
     checks.append(Check("three-leg-degenerations", "legs<=3",
-                        lambda: all(vertex.verify_w3_degenerations(a, b)
-                                    for a in all_partitions(3)
-                                    for b in all_partitions(3))))
+                        lambda: each(vertex.verify_w3_degenerations,
+                                     product(all_partitions(3), repeat=2))))
 
-    def trio(w):
-        for a, b in nekrasov.tuple_sweep(2, w):
-            for c in partitions_of(w - weight(a) - weight(b)):
-                vertex.verify_w3_transpose_all(a, b, c)
-                vertex.verify_w3_inversion(a, b, c)
-                vertex.verify_w3_outer_transpose(a, b, c)
-                vertex.verify_w3_reversal(a, b, c)
+    def trio(a, b, c):
+        vertex.verify_w3_transpose_all(a, b, c)
+        vertex.verify_w3_inversion(a, b, c)
+        vertex.verify_w3_outer_transpose(a, b, c)
+        vertex.verify_w3_reversal(a, b, c)
 
     for w in range(min(wmax, 4) + 1):
         checks.append(Check("three-leg-symmetry-trio", f"total={w}",
-                            lambda w=w: trio(w)))
+                            lambda w=w: each(trio, (
+                                (a, b, c) for a, b in nekrasov.tuple_sweep(2, w)
+                                for c in partitions_of(w - weight(a) - weight(b))))))
     return checks
 
 
@@ -274,8 +276,8 @@ def suite_kgen(params: dict) -> list[Check]:
     checks = []
     for mu1 in all_partitions(wmax):
         checks.append(Check("chain-pair-reduction", f"mu1={pstr(mu1)} legs<={wmax} qdeg={qdeg}",
-                            lambda a=mu1: all(ksum.verify_ktilde_pair_reduction(a, b, qdeg)
-                                              for b in all_partitions(wmax))))
+                            lambda a=mu1: each(ksum.verify_ktilde_pair_reduction,
+                                               product([a], all_partitions(wmax), [qdeg]))))
     dims2 = (min(qdeg, 3),)
     for mu1, mu2 in nekrasov.tuple_sweep(2, 2):
         checks.append(Check("chain-closed-form", f"{pstr(mu1)} {pstr(mu2)} dims={list(dims2)}",
@@ -285,9 +287,9 @@ def suite_kgen(params: dict) -> list[Check]:
     for mu1 in all_partitions(w3max):
         checks.append(Check("chain-closed-form-rank3",
                             f"mu1={pstr(mu1)} legs<={w3max} dims={list(dims3)}",
-                            lambda a=mu1: all(ksum.verify_thm_kgen((a, b, c), dims3)
-                                              for b in all_partitions(w3max)
-                                              for c in all_partitions(w3max))))
+                            lambda a=mu1: each(lambda *mus: ksum.verify_thm_kgen(mus, dims3),
+                                               product([a], all_partitions(w3max),
+                                                       all_partitions(w3max)))))
     return checks
 
 
@@ -304,9 +306,9 @@ def suite_sun(params: dict) -> list[Check]:
         for mu2 in all_partitions(wmax):
             checks.append(Check("squared-chain-rank3",
                                 f"{pstr(mu1)} {pstr(mu2)} legs<={wmax} dims={list(dims3)}",
-                                lambda a=mu1, b=mu2: all(
-                                    ksum.verify_sun_squares((a, b, c), dims3)
-                                    for c in all_partitions(wmax))))
+                                lambda a=mu1, b=mu2: each(
+                                    lambda *mus: ksum.verify_sun_squares(mus, dims3),
+                                    product([a], [b], all_partitions(wmax)))))
     return checks
 
 

@@ -15,7 +15,7 @@ from vertexcalc.ksum import (k00_closed, k_brute, verify_cor_ik2_and_ksinh,
                              verify_ksinh_series, verify_ktilde_pair_reduction,
                              verify_sun_squares, verify_thm_k,
                              verify_thm_kgen, verify_thm_kt)
-from vertexcalc.nekrasov import verify_su2, z_sun
+from vertexcalc.nekrasov import sun_phi_model, sun_tuple_identity, tuple_sweep, verify_su2
 from vertexcalc.partitions import all_partitions, partitions_of, weight
 from vertexcalc.report import run_checks
 from vertexcalc.schur import verify_chain_sum, verify_skew_cauchy
@@ -124,8 +124,9 @@ def test_criterion_09_chain_generalizations():
 def test_criterion_10_rank2_framed_equalities():
     t0 = time.time()
     ok = all(verify_su2(m, 2, 4) for m in (0, 1, 2))
-    out = z_sun(3, 1, (2, 2))
-    phi = "confirmed" if out["phi_model_all"] else "not matched"
+    sweep = tuple_sweep(3, 1)
+    ok = ok and all(sun_tuple_identity(3, mus, (2, 2)) for mus in sweep)
+    phi = "confirmed" if all(sun_phi_model(3, mus) for mus in sweep) else "not matched"
     conclude(10, "rank-2 framed equalities; rank-3 slot factors " + phi, ok,
              "framings 0,1,2 at base 2 fiber 4; rank-3 report at base 1",
              time.time() - t0, 600)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from vertexcalc import series
-from vertexcalc.ksum import (hook_sinh_block, k00_chain_product, k00_chain_square,
+from vertexcalc import ksum, prodred, series
+from vertexcalc.ksum import (gauge_block, k00_chain_product, k00_chain_square,
                              k00_closed, k_brute, k_transposed_rational,
                              kgen_closed, ktilde_brute, sun_square_fraction,
                              verify_cor_ik2_and_ksinh, verify_ksinh_series,
@@ -96,6 +96,17 @@ def test_squared_chain_fraction_three_slots():
     assert verify_sun_squares(((1,), (1,), ()), (2, 2))
 
 
+def test_sinh_side_does_not_read_the_row_pair_multiset(monkeypatch):
+    # the gauge route builds its blocks by arms and legs alone
+    def refuse(*args):
+        raise AssertionError("the sinh side read pair_multiset")
+
+    monkeypatch.setattr(ksum, "pair_multiset", refuse)
+    monkeypatch.setattr(prodred, "pair_multiset", refuse)
+    ksum._GAUGE_CACHE.clear()
+    assert verify_sun_squares(((1,), (1,), ()), (2, 2))
+
+
 def test_square_fraction_empty_is_one():
     assert sun_square_fraction(((), ()), 2) == LaurentFraction.one()
     assert sun_square_fraction(((), (), ()), 3) == LaurentFraction.one()
@@ -105,7 +116,7 @@ CHAIN_MEMOS = [
     (ktilde_brute, "_KT_CACHE", (((1,), (), (1,)), (1, 1))),
     (k00_chain_product, "_K00P_CACHE", ((2, 1), 3)),
     (k00_chain_square, "_K00SQ_CACHE", ((2, 1), 3)),
-    (hook_sinh_block, "_HOOK_CACHE", ((2, 1),)),
+    (gauge_block, "_GAUGE_CACHE", ((2, 1), (1,), (0, 1, 0))),
     (_framed_pair_square, "_FPS_CACHE", ((1,), (1,), 1, 2)),
 ]
 

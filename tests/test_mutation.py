@@ -9,6 +9,7 @@ after each mutant, so no wrong value leaks into a table another test reads.
 import hashlib
 import inspect
 import json
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -129,6 +130,21 @@ def test_w3_sum_without_empty_shape_is_caught(mutate, tmp_path, capsys):
                            "if eta and contains(eta, mu1) and contains(eta, m3t))")
     mutate(vertex, "w3", mutant)
     assert tiny_failures("vertex", tmp_path, capsys)[0] > 0
+    # a looped check names the legs it failed at, then the witness
+    doc = json.loads((tmp_path / "report.json").read_text())
+    routes = [e["witness"] for e in doc["entries"]
+              if e["id"] == "three-leg-routes" and e["status"] == "fail"]
+    assert routes and all(re.match(r"(\((\d,?)*\) ){2}\((\d,?)*\): ", w) for w in routes)
+    assert routes[0] == '() () (): "0" != "1"'
+
+
+def test_leg_length_off_at_the_edge_of_nu_is_caught(mutate, tmp_path, capsys):
+    # the last column of nu' is read as lying outside nu
+    mutant = source_mutant(prodred.nekrasov_multiset, "if j <= len(cols) else 0)",
+                           "if j < len(cols) else 0)")
+    mutate(prodred, "nekrasov_multiset", mutant)
+    assert tiny_failures("sun", tmp_path, capsys)[0] > 0
+    assert tiny_failures("k", tmp_path, capsys)[0] > 0
 
 
 def test_k_brute_missing_a_middle_partition_is_caught(mutate, tmp_path, capsys):

@@ -1,7 +1,7 @@
 from vertexcalc.nekrasov import (sun_framing, sun_phi_model,
                                  sun_residual, sun_tuple_identity, tuple_sweep,
                                  verify_fiber_swap, verify_su2,
-                                 verify_sun_pair_consistency, z_su2, z_sun)
+                                 verify_sun_pair_consistency, z_su2)
 from vertexcalc.partitions import kappa, weight
 from vertexcalc.series import LaurentFraction
 
@@ -40,15 +40,11 @@ def test_sun_residual_trivial_at_empty():
 
 
 def test_rank3_tuple_identities():
-    for mus in tuple_sweep(3, 1):
+    sweep = tuple_sweep(3, 1)
+    assert len(sweep) == 4
+    for mus in sweep:
         assert sun_tuple_identity(3, mus, (2, 2))
         assert sun_phi_model(3, mus)
-
-
-def test_rank3_aggregate():
-    out = z_sun(3, 1, (2, 2))
-    assert out["phi_model_all"] is True
-    assert len(out["entries"]) == 4
 
 
 def test_rank2_chain_consistency():

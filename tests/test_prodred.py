@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexcalc.partitions import contents, kappa, partitions_of, weight
-from vertexcalc.prodred import (bracket, diag_block_ratio, multiset_json,
+from vertexcalc.ksum import gauge_block
+from vertexcalc.nekrasov import tuple_sweep
+from vertexcalc.partitions import all_partitions, contents, hooks, kappa, partitions_of, weight
+from vertexcalc.prodred import (bracket, multiset_json, nekrasov_multiset,
                                 one_minus_qq, pair_multiset, sinh_factor)
 from vertexcalc.series import LaurentFraction
 
@@ -65,14 +67,19 @@ def test_pair_multiset_laws(mu1, mu2):
     assert flipped == {-m: c for m, c in ms.items()}
 
 
-def test_diag_block_ratio():
-    # inverse square of factor(h) over the hooks of mu
-    fr = diag_block_ratio((1,), bracket)
-    assert fr == bracket(1) ** -2
-    fr2 = diag_block_ratio((2,), bracket)
-    assert fr2 == bracket(1) ** -2 * bracket(2) ** -2
+def test_arm_leg_multiset_is_the_row_pair_multiset():
+    # the paper's lemma: Nekrasov's factor by arm and leg lengths has the
+    # exponent multiset of the vertex side's double sum over row pairs
+    pairs = tuple_sweep(2, 8)
+    assert len(pairs) == 434
+    for mu, nu in pairs:
+        assert nekrasov_multiset(mu, nu) == pair_multiset(mu, nu)
 
 
-def test_diag_block_ratio_rejects_even_rule():
-    with pytest.raises(ValueError):
-        diag_block_ratio((1,), lambda m: bracket(m) ** 2)
+def test_diagonal_gauge_block_is_the_signed_hook_block():
+    # sinh is odd, so N_{mu mu} is (-1)**|mu| times the inverse hook squares
+    for mu in all_partitions(4):
+        want = LaurentFraction.one()
+        for h in hooks(mu):
+            want = want * sinh_factor(h, ()) ** -2
+        assert gauge_block(mu, mu, ()) == want.scale((-1) ** weight(mu))
