@@ -175,12 +175,14 @@ def verify_ktilde_pair_reduction(mu1, mu2, trunc: int) -> bool:
     return same(kt, k_brute(mu1, conjugate(mu2), trunc).scale(mono))
 
 
-def _ray_key(naxes: int, k: int, l: int, val: int) -> tuple[int, ...]:
-    """Fraction exponent key with val on the s axes of chain slots k..l-1."""
-    key = [0] * (naxes + 1)
-    for a in range(k, l):
-        key[a] = val
-    return tuple(key)
+def _ray_key(k: int, l: int, val: int) -> tuple[int, ...]:
+    """Fraction exponent key with val on the s axes of chain slots k..l-1.
+
+    Trailing zeros are trimmed, so the key does not depend on the chain
+    rank and the empty range k == l gives (): a memo keyed on it shares
+    one entry across ranks.
+    """
+    return (0,) * k + (val,) * (l - k) if k < l else ()
 
 
 def k00_chain(dims, k: int, l: int) -> MultiQSeries:
@@ -223,7 +225,7 @@ def kgen_closed(mus, dims) -> MultiQSeries:
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             pm = pair_multiset(mus[k - 1], mus[l - 1])
-            sh = _ray_key(len(dims), k, l, 2)
+            sh = _ray_key(k, l, 2)
             fr = fr * product_over(pm, lambda m, s=sh: one_minus_qq(m, s))
     return k00_chain_product(dims, n) * expand_in_q_multi(fr, dims)
 
@@ -242,9 +244,10 @@ def verify_thm_kgen(mus, dims) -> bool:
 def gauge_block(mu, nu, shift) -> LaurentFraction:
     """Nekrasov's pair factor: the sinh product over nekrasov_multiset(mu, nu).
 
-    shift is the fraction exponent key the chain variables enter with;
-    at mu = nu it is zero, and the block is (-1)**|mu| times the
-    inverse square of the sinh factors of the hook lengths of mu.
+    shift is the fraction exponent key the chain variables enter with,
+    trailing zeros trimmed; on the diagonal of sun_square_fraction it is
+    (), and the block is (-1)**|mu| times the inverse square of the sinh
+    factors of the hook lengths of mu.
     """
     return product_over(nekrasov_multiset(mu, nu), lambda m: sinh_factor(m, shift))
 
@@ -264,7 +267,7 @@ def sun_square_fraction(mus, naxes: int) -> LaurentFraction:
     fr = LaurentFraction.one()
     for k in range(1, n + 1):
         for l in range(k, n + 1):
-            blk = gauge_block(mus[k - 1], mus[l - 1], _ray_key(naxes, k, l, 1))
+            blk = gauge_block(mus[k - 1], mus[l - 1], _ray_key(k, l, 1))
             fr = fr * (blk if k == l else blk ** 2)
     shift = [0] * (naxes + 1)
     shift[0] = -sum((n - 2 * k) * kappa(mus[k - 1]) for k in range(1, n + 1))

@@ -31,8 +31,12 @@ polynomial gcd: identical factors cancel syntactically, and each binomial
 factor 1 + v*X**k is divided out of the numerator exactly (synthetic
 division) whenever it divides.  The paper's identities are products of such
 binomials; a factor with more terms stays in the denominator, and equality
-stays exact because == cross-multiplies.  LaurentFraction.sum brings many
-terms over one lcm and reduces once, and a + b is its two-term case.
+stays exact because == cross-multiplies.  Most factors are 1 - X**k, which
+vanish at X = (1, ..., 1).  Evaluation at 1 is a ring map, so such a factor
+cannot divide a numerator whose coefficients do not sum to 0; that division
+is not attempted, since it could only fail, and the result is the same.
+LaurentFraction.sum brings many terms over one lcm and reduces once, and
+a + b is its two-term case.
 MultiQSeries squares by symmetry: x * x forms each unordered pair of keys
 once and doubles the off-diagonal products.
 
@@ -440,13 +444,21 @@ class LaurentFraction:
         den = {f: e for f, e in den.items() if e}
         if not num._t:
             return cls(LaurentPoly.zero(), {})
+        # Evaluation at X = 1 is a ring map, so f | num forces
+        # num(1) = f(1) * q(1): a factor vanishing at 1 cannot divide a
+        # numerator that does not, and the walk is not started.
+        at_one = sum(num._t.values()) if den else 0
         for f in list(den):
             e = den[f]
+            vanishes = not sum(f._t.values())
             while e > 0:
+                if at_one and vanishes:
+                    break
                 qq = _exact_div(num, f)
                 if qq is None:
                     break
                 num = qq
+                at_one = sum(num._t.values())
                 e -= 1
             if e:
                 den[f] = e

@@ -91,10 +91,35 @@ def test_unmutated_tiny_suites_pass(tmp_path, capsys):
         assert tiny_failures(suite, tmp_path, capsys) == (0, [])
 
 
+def test_no_division_is_walked_that_evaluation_at_one_rules_out(monkeypatch, tmp_path, capsys):
+    # a factor vanishing at X = 1 cannot divide a numerator that does not
+    walks = []
+    div = series._exact_div
+
+    def counted(num, f):
+        walks.append((sum(num._t.values()), sum(f._t.values())))
+        return div(num, f)
+
+    monkeypatch.setattr(series, "_exact_div", counted)
+    clear_memo_tables()
+    assert main(["verify", "all", *TINY_SIZES, "--threads", "1",
+                 "--json", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert walks
+    assert [w for w in walks if w[0] and not w[1]] == []
+
+
 def test_division_without_top_key_test_is_caught(mutate, capsys):
     mutant = source_mutant(series._exact_div,
                            "        if cs[hi] != v * acc:\n            return None\n", "")
     mutate(series, "_exact_div", mutant)
+    assert compute_pin_drift(capsys) is not None
+
+
+def test_division_skipped_when_numerator_vanishes_at_one_is_caught(mutate, capsys):
+    mutant = source_mutant(series.LaurentFraction._make, "if at_one and vanishes:",
+                           "if not at_one and vanishes:")
+    mutate(series.LaurentFraction, "_make", mutant)
     assert compute_pin_drift(capsys) is not None
 
 

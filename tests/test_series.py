@@ -161,6 +161,74 @@ def test_fraction_cancellation(a, binomials):
     assert kept == LaurentFraction.from_poly(a)
 
 
+def reduce_by_every_division(num, den):
+    """The reduction of LaurentFraction._make with every division attempted."""
+    den = {f: e for f, e in den.items() if e}
+    if not num._t:
+        return [], []
+    for f in list(den):
+        e = den[f]
+        while e:
+            q = series._exact_div(num, f)
+            if q is None:
+                break
+            num, e = q, e - 1
+        if e:
+            den[f] = e
+        else:
+            del den[f]
+    return list(num._t.items()), list(den.items())
+
+
+@given(laurent_polys(naxes=2, span=2, terms=3), binomial_lists(), binomial_lists(),
+       st.lists(st.integers(1, 3), min_size=12, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_reduction_skips_only_divisions_that_fail(a, in_num, extra, exps):
+    # the evaluation-at-one test leaves the numerator and the factor dict,
+    # in order, as trying every division would; c = -1 draws factors that
+    # vanish at 1, the other c factors that do not
+    num = a
+    for g in in_num:
+        num = num * g
+    den = {}
+    for g, e in zip(in_num + extra, exps):
+        canon = series._canonical_parts(g)[0]
+        den[canon] = den.get(canon, 0) + e
+    got = LaurentFraction._make(num, dict(den))
+    assert (list(got.num._t.items()), list(got.den.items())) == reduce_by_every_division(num, den)
+
+
+def test_binomials_not_vanishing_at_one_still_divide():
+    # 1 + t and 1 + 2t do not vanish at t = 1: a numerator whose
+    # coefficients do not sum to 0 must still lose them
+    t = mono(1, (1,))
+    a = 3 + t
+    f, g = 1 + t, 1 + mono(2, (1,))
+    num = a * f * g
+    assert sum(num.d.values()) != 0
+    x = LaurentFraction._make(num, {f: 1, g: 1})
+    assert x.num == a and x.den == {}
+
+
+def test_value_at_one_is_refreshed_after_each_quotient(monkeypatch):
+    # (1 - t)**2 * a over (1 - t)**3 with a(1) = 3: two quotients, after
+    # which the numerator no longer vanishes at 1 and no third walk starts
+    t = mono(1, (1,))
+    f = 1 - t
+    a = 2 + mono(1, (2,))
+    calls = []
+    div = series._exact_div
+
+    def counted(num, g):
+        calls.append(g)
+        return div(num, g)
+
+    monkeypatch.setattr(series, "_exact_div", counted)
+    x = LaurentFraction._make(a * f * f, {f: 3})
+    assert calls == [f, f]
+    assert x.num == a and x.den == {f: 1}
+
+
 def test_fraction_rejects_non_canonical_factor():
     # t - 1 is 1 - t up to sign; accepting it would let the division pass
     # treat it as canonical and return a wrong value with no error
