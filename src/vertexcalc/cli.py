@@ -172,6 +172,14 @@ def load_config(path: str) -> dict:
     return vals
 
 
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vertexcalc",
                                      description="Exact amplitude and series identities.")
@@ -236,8 +244,11 @@ def cmd_compute(args) -> int:
     for name in ("qdeg", "m", "bdeg", "fdeg", "order"):
         if (getattr(args, name) or 0) < 0:
             raise UsageError(f"--{name} must be at least 0")
-    if args.two_var and args.expand:
-        raise UsageError("--two-var values have two variables and do not expand")
+    if args.order is not None and not args.expand:
+        raise UsageError("--order needs --expand")
+    if args.expand and args.kind not in ("w1", "w2", "w3") and not (
+            args.kind == "k" and args.transpose2):
+        raise UsageError("--expand applies only to w1, w2, w3 and k --transpose2")
     params: dict = {}
     if args.kind == "w1":
         (mu,) = _need(args, "mu")
@@ -306,8 +317,7 @@ def cmd_compute(args) -> int:
     print(text)
     if args.json:
         payload = {"kind": args.kind, "params": params, "units": units, "value": value}
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        write_text(args.json, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
 
@@ -325,8 +335,7 @@ def cmd_verify(args) -> int:
     elapsed = perf_counter() - t0
     print(render_human(args.suite, results, elapsed))
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report_json(args.suite, params, results))
+        write_text(args.json, report_json(args.suite, params, results))
     return 0 if all(r.status == "pass" for r in results) else 1
 
 

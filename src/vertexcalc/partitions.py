@@ -8,7 +8,7 @@ match the usual conventions, while the code iterates 0-based.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .series import LaurentPoly, same
 

@@ -18,8 +18,8 @@ factor families cover everything downstream:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from .partitions import conjugate, contents, normalize
 from .series import LaurentFraction, LaurentPoly

@@ -6,35 +6,23 @@ normally; a failing check carries a witness, the first key where the two
 sides differ, and a passing one none, so the reports stay fixed.  Results
 keep per-check wall time for the human table, but the JSON report
 contains no timing, so fixed parameters give byte-identical files no
-matter how many worker threads ran the sweep.
+matter how many worker threads ran the sweep.  The thread pool is loaded
+only when a sweep asks for more than one thread, so importing this module
+(as every compute call does) costs no thread or dataclass machinery.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from time import perf_counter
-from typing import Callable, Optional
 
 from . import __version__
 from .series import Mismatch
 
 
-@dataclass
-class Check:
-    ident: str
-    instance: str
-    fn: Callable
-
-
-@dataclass
-class CheckResult:
-    ident: str
-    instance: str
-    status: str
-    witness: Optional[str]
-    seconds: float
+Check = namedtuple("Check", "ident instance fn")
+CheckResult = namedtuple("CheckResult", "ident instance status witness seconds")
 
 
 def _run_one(chk: Check) -> CheckResult:
@@ -62,6 +50,7 @@ def run_checks(checks, threads: int = 1) -> list[CheckResult]:
     """Run every check, preserving the announced order in the output."""
     if threads <= 1:
         return [_run_one(c) for c in checks]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_run_one, checks))
 

@@ -53,9 +53,9 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 CACHE_LIMIT = 1 << 20
 

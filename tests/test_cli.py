@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vertexcalc
 from vertexcalc.cli import main, partition_arg
 from vertexcalc.report import Check, run_checks
 from vertexcalc.series import same
@@ -105,15 +109,17 @@ def test_verify_inject_failure(capsys, tmp_path):
 
 
 
+RETURN_CHECKS = [Check("none", "-", lambda: None),
+                 Check("true", "-", lambda: True),
+                 Check("info", "-", lambda: "a note"),
+                 Check("false", "-", lambda: False),
+                 Check("tuple", "-", lambda: (True, None)),
+                 Check("mismatch", "-", lambda: same(1, 2)),
+                 Check("error", "-", lambda: 1 // 0)]
+
+
 def test_check_passes_only_by_returning_normally():
-    checks = [Check("none", "-", lambda: None),
-              Check("true", "-", lambda: True),
-              Check("info", "-", lambda: "a note"),
-              Check("false", "-", lambda: False),
-              Check("tuple", "-", lambda: (True, None)),
-              Check("mismatch", "-", lambda: same(1, 2)),
-              Check("error", "-", lambda: 1 // 0)]
-    got = [(r.ident, r.status, r.witness) for r in run_checks(checks)]
+    got = [(r.ident, r.status, r.witness) for r in run_checks(RETURN_CHECKS)]
     assert got == [("none", "pass", None),
                    ("true", "pass", None),
                    ("info", "pass", "a note"),
@@ -121,6 +127,13 @@ def test_check_passes_only_by_returning_normally():
                    ("tuple", "fail", "returned (True, None)"),
                    ("mismatch", "fail", '"1" != "2"'),
                    ("error", "fail", "error: ZeroDivisionError('integer division or modulo by zero')")]
+
+
+def test_pool_keeps_results_and_order():
+    def key(results):
+        return [(r.ident, r.instance, r.status, r.witness) for r in results]
+    assert key(run_checks(RETURN_CHECKS, 2)) == key(run_checks(RETURN_CHECKS, 1))
+
 
 def test_verify_json_deterministic_across_threads(capsys, tmp_path):
     p1 = tmp_path / "t1.json"
@@ -196,9 +209,38 @@ def test_verify_bad_size_exits_two(capsys, argv):
     ("z", "--fdeg", "-1"),
     ("w1", "--mu", "1", "--expand", "at_zero", "--order", "-3"),
     ("f", "--mu1", "1", "--mu2", "1", "--two-var", "--expand", "at_zero"),
+    ("f", "--mu1", "1", "--mu2", "1", "--expand", "at_zero"),
+    ("k", "--mu1", "1", "--mu2", "0", "--expand", "at_zero"),
+    ("z", "--expand", "at_zero"),
+    ("multiset", "--mu1", "1", "--mu2", "0", "--expand", "at_zero"),
+    ("w1", "--mu", "1", "--order", "3"),
+    ("k", "--mu1", "1", "--mu2", "0", "--transpose2", "--order", "3"),
 ])
 def test_compute_bad_input_exits_two(capsys, argv):
     code, out, err = run(capsys, "compute", *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "w1", "--mu", "1"),
+    ("verify", "partitions", "--max-weight", "1"),
+])
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_json_write_failure_exits_two(capsys, tmp_path, argv, where):
+    code, _, err = run(capsys, *argv, "--json", str(tmp_path / where))
+    assert code == 2
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_pool_or_dataclass_machinery():
+    # -S keeps site-packages .pth files from preloading typing.
+    src = str(Path(vertexcalc.__file__).resolve().parents[1])
+    probe = ("import sys, vertexcalc.cli, vertexcalc.report; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'concurrent.futures', "
+             "'logging', 'threading', 'typing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
