@@ -108,7 +108,6 @@ def test_verify_inject_failure(capsys, tmp_path):
     assert '} != {"num":' in bad[0]["witness"]
 
 
-
 RETURN_CHECKS = [Check("none", "-", lambda: None),
                  Check("true", "-", lambda: True),
                  Check("info", "-", lambda: "a note"),
