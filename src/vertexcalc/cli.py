@@ -4,8 +4,9 @@ Human output prints q-exponents (halved t-exponents) whenever every
 exponent is even, otherwise t-exponents; JSON carries a units field
 recording that choice, while serialized exponent keys always live on
 the half-power (t, s) lattice.  Verification reports never embed wall
-time, so fixed parameters give byte-identical JSON files regardless of
-the worker count.
+time, so fixed parameters give byte-identical JSON files.  Checks run in
+one thread; --threads N is still accepted and validated, and N > 1 only
+draws a note on stderr.
 """
 
 from __future__ import annotations
@@ -240,15 +241,32 @@ def _fraction_output(fr: LaurentFraction, args, params: dict):
     return text, units, coeff_json(fr)
 
 
+# The optional flags each kind reads; k reads --qdeg in its plain form and
+# --expand and --order in its --transpose2 form.
+COMPUTE_READS = {
+    "w1": {"mu", "expand", "order"},
+    "w2": {"mu1", "mu2", "expand", "order"},
+    "w3": {"mu1", "mu2", "mu3", "expand", "order"},
+    "f": {"mu1", "mu2", "transpose2", "two_var"},
+    "k": {"mu1", "mu2", "transpose2", "qdeg"},
+    "k --transpose2": {"mu1", "mu2", "transpose2", "expand", "order"},
+    "z": {"m", "bdeg", "fdeg"},
+    "multiset": {"mu1", "mu2"},
+}
+COMPUTE_FLAGS = sorted(set().union(*COMPUTE_READS.values()))
+
+
 def cmd_compute(args) -> int:
+    form = "k --transpose2" if args.kind == "k" and args.transpose2 else args.kind
+    for name in COMPUTE_FLAGS:
+        val = getattr(args, name)
+        if val is not None and val is not False and name not in COMPUTE_READS[form]:
+            raise UsageError(f"compute {form} does not read --{name.replace('_', '-')}")
     for name in ("qdeg", "m", "bdeg", "fdeg", "order"):
         if (getattr(args, name) or 0) < 0:
             raise UsageError(f"--{name} must be at least 0")
     if args.order is not None and not args.expand:
         raise UsageError("--order needs --expand")
-    if args.expand and args.kind not in ("w1", "w2", "w3") and not (
-            args.kind == "k" and args.transpose2):
-        raise UsageError("--expand applies only to w1, w2, w3 and k --transpose2")
     params: dict = {}
     if args.kind == "w1":
         (mu,) = _need(args, "mu")
@@ -329,9 +347,12 @@ def cmd_verify(args) -> int:
             check_size(key, val, "--" + key.replace("_", "-"))
             cfg[key] = val
     params = {key: cfg.get(key) for key in VERIFY_SIZES}
+    threads = cfg.get("threads", 1)
+    if threads > 1:
+        print(f"note: threads = {threads} ignored; checks run in one thread", file=sys.stderr)
     checks = build_suite(args.suite, params, args.inject_failure)
     t0 = perf_counter()
-    results = run_checks(checks, cfg.get("threads", 1))
+    results = run_checks(checks, threads)
     elapsed = perf_counter() - t0
     print(render_human(args.suite, results, elapsed))
     if args.json:

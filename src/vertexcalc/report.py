@@ -5,10 +5,10 @@ states each identity as series.same(lhs, rhs) and passes by returning
 normally; a failing check carries a witness, the first key where the two
 sides differ, and a passing one none, so the reports stay fixed.  Results
 keep per-check wall time for the human table, but the JSON report
-contains no timing, so fixed parameters give byte-identical files no
-matter how many worker threads ran the sweep.  The thread pool is loaded
-only when a sweep asks for more than one thread, so importing this module
-(as every compute call does) costs no thread or dataclass machinery.
+contains no timing, so fixed parameters give byte-identical files.
+Checks run one after another in the calling thread (under the GIL a
+thread pool only made sweeps slower), so importing this module, as every
+compute call does, loads no thread or dataclass machinery.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ def _run_one(chk: Check) -> CheckResult:
 
 
 def run_checks(checks, threads: int = 1) -> list[CheckResult]:
-    """Run every check, preserving the announced order in the output."""
-    if threads <= 1:
-        return [_run_one(c) for c in checks]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_one, checks))
+    """Run every check in order in this thread; the results keep that order.
+
+    threads is accepted for callers that still pass a worker count, and
+    ignored: every count gives the same results in the same order.
+    """
+    return [_run_one(c) for c in checks]
 
 
 def report_dict(suite: str, params: dict, results) -> dict:

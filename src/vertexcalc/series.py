@@ -869,7 +869,11 @@ def expand_in_q_multi(fr: LaurentFraction, dims) -> MultiQSeries:
 
     The t coefficients stay exact.  The denominator must consist of pure-t
     factors plus binomials 1 + c * monomial whose monomial has a
-    nonnegative, nonzero s part.  Raises ArithmeticError when the
+    nonnegative, nonzero s part.  Every cell keeps the pure-t part of the
+    denominator, so each cell is carried as its numerator alone, a dict
+    from t exponent to coefficient; the binomials are expanded as
+    geometric series on those numerators, and each output cell is reduced
+    once, over the pure-t factors.  Raises ArithmeticError when the
     expression is not an honest Q series (odd s powers or negative Q
     powers that fail to cancel).
     """
@@ -889,17 +893,14 @@ def expand_in_q_multi(fr: LaurentFraction, dims) -> MultiQSeries:
         if any(v < 0 for v in sv) or not any(sv):
             raise ValueError("denominator binomial must raise the Q degree")
         bins.append((_digit0(other), sv, -f._t[other], e))
-    parts: dict = {}
+    cells: dict = {}
     for k, v in fr.num._t.items():
         sv = _svec(unpack(k), naxes)
-        if any(a > b for a, b in zip(sv, hi)):
-            continue
-        tp = LaurentFraction._make(LaurentPoly._of({_digit0(k): v}), dict(pure))
-        parts.setdefault(sv, []).append(tp)
-    cells = {w: LaurentFraction.sum(ts) for w, ts in parts.items()}
+        if not any(a > b for a, b in zip(sv, hi)):
+            cells.setdefault(sv, {})[_digit0(k)] = v
     for texp, sv, base, g in bins:
-        parts = {}
-        for w, val in cells.items():
+        grown: dict = {}
+        for w, num in cells.items():
             j = 0
             while True:
                 ww = tuple(a + j * b for a, b in zip(w, sv))
@@ -907,17 +908,22 @@ def expand_in_q_multi(fr: LaurentFraction, dims) -> MultiQSeries:
                     break
                 if not any(x > h for x, h in zip(ww, hi)):
                     coef = math.comb(g - 1 + j, j) * base ** j
-                    term = val.scale(coef).shift((texp * j,)) if j else val
-                    parts.setdefault(ww, []).append(term)
+                    sh = texp * j
+                    acc = grown.setdefault(ww, {})
+                    for e, c in num.items():
+                        acc[e + sh] = acc.get(e + sh, 0) + coef * c
                 j += 1
-        sums = {w: LaurentFraction.sum(ts) for w, ts in parts.items()}
-        cells = {w: v for w, v in sums.items() if not v.is_zero()}
+        cells = {}
+        for w, acc in grown.items():
+            num = {e: c for e, c in acc.items() if c}
+            if num:
+                cells[w] = num
     out = {}
-    for w, val in cells.items():
-        if all(v >= 0 and v % 2 == 0 for v in w):
-            out[tuple(v // 2 for v in w)] = val
-        elif not val.is_zero():
+    for w, num in cells.items():
+        if any(v < 0 or v % 2 for v in w):
             raise ArithmeticError(f"stray s power {w} in expansion")
+        num = LaurentPoly._of({e: _normval(c) for e, c in num.items()})
+        out[tuple(v // 2 for v in w)] = LaurentFraction._make(num, dict(pure))
     return MultiQSeries(dims, out)
 
 

@@ -128,10 +128,10 @@ def test_check_passes_only_by_returning_normally():
                    ("error", "fail", "error: ZeroDivisionError('integer division or modulo by zero')")]
 
 
-def test_pool_keeps_results_and_order():
-    def key(results):
-        return [(r.ident, r.instance, r.status, r.witness) for r in results]
-    assert key(run_checks(RETURN_CHECKS, 2)) == key(run_checks(RETURN_CHECKS, 1))
+def test_run_checks_with_a_worker_count_keeps_the_announced_order():
+    # perfbench/child.py wraps run_checks and calls it with the worker count.
+    got = [(r.ident, r.instance) for r in run_checks(RETURN_CHECKS, 2)]
+    assert got == [(c.ident, c.instance) for c in RETURN_CHECKS]
 
 
 def test_verify_json_deterministic_across_threads(capsys, tmp_path):
@@ -143,6 +143,8 @@ def test_verify_json_deterministic_across_threads(capsys, tmp_path):
             "--threads", "3", "--json", str(p2))
     assert a[0] == 0 and b[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+    assert a[2] == ""
+    assert b[2] == "note: threads = 3 ignored; checks run in one thread\n"
 
 
 def test_config_file_and_overrides(capsys, tmp_path):
@@ -220,6 +222,26 @@ def test_compute_bad_input_exits_two(capsys, argv):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("w1", "--mu", "1", "--qdeg", "3", "--two-var"), "--qdeg"),
+    (("w1", "--mu", "1", "--qdeg", "0"), "--qdeg"),
+    (("w2", "--mu1", "1", "--mu2", "1", "--m", "2"), "--m"),
+    (("w2", "--mu1", "1", "--mu2", "1", "--mu", "3"), "--mu"),
+    (("w3", "--mu1", "1", "--mu2", "1", "--mu3", "0", "--transpose2"), "--transpose2"),
+    (("z", "--transpose2"), "--transpose2"),
+    (("multiset", "--mu1", "1", "--mu2", "0", "--transpose2"), "--transpose2"),
+    (("k", "--mu1", "1", "--mu2", "0", "--two-var"), "--two-var"),
+    (("k", "--mu1", "1", "--mu2", "0", "--transpose2", "--qdeg", "3"), "--qdeg"),
+    (("f", "--mu1", "1", "--mu2", "1", "--bdeg", "1"), "--bdeg"),
+    (("z", "--mu1", "1"), "--mu1"),
+    (("z", "--fdeg", "2", "--order", "0"), "--order"),
+])
+def test_compute_rejects_flags_its_kind_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.rstrip().endswith(f"does not read {flag}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 from vertexcalc.cli import main
+from vertexcalc.suites import SUITE_ORDER
 
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
-TINY_VERIFY = "verify all --max-weight 1 --qdeg 1 --bdeg 1 --fdeg 2 --threads 2"
+TINY_SIZES = "--max-weight 1 --qdeg 1 --bdeg 1 --fdeg 2"
+TINY_VERIFY = f"verify all {TINY_SIZES} --threads 2"
 # The benchmark's chain-all run: its own byte gate, about 10 s.
 CHAIN_ALL_VERIFY = "verify all --max-weight 2 --qdeg 2 --threads 2"
 
@@ -50,3 +52,11 @@ def test_tiny_verify_report_matches_pin(tmp_path, capsys):
 
 def test_chain_all_verify_report_matches_pin(tmp_path, capsys):
     assert_verify_report_matches_pin(CHAIN_ALL_VERIFY, tmp_path, capsys)
+
+
+def test_tiny_verify_report_matches_pin_with_warm_memo_tables(tmp_path, capsys):
+    # The memo tables are no input: filled by every suite, run in reverse
+    # order, they leave the report's bytes where a cold run puts them.
+    for suite in reversed(SUITE_ORDER):
+        assert main(["verify", suite, *TINY_SIZES.split()]) == 0
+    assert_verify_report_matches_pin(TINY_VERIFY, tmp_path, capsys)
