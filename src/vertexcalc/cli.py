@@ -18,7 +18,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import fcoeff, ksum, nekrasov, vertex
-from .partitions import conjugate
+from .partitions import conjugate, normalize
 from .prodred import multiset_json, pair_multiset
 from .report import render_human, report_json, run_checks
 from .series import (LaurentFraction, LaurentPoly, coeff_json, expand_in_q_multi,
@@ -32,15 +32,12 @@ class UsageError(Exception):
 
 def partition_arg(text: str):
     t = text.strip()
-    if t in ("", "0", "()"):
+    if t in ("", "()"):
         return ()
     try:
-        parts = [int(x) for x in t.split(",")]
+        return normalize(sorted((int(x) for x in t.split(",")), reverse=True))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad partition: {text!r}")
-    if any(p < 0 for p in parts):
-        raise argparse.ArgumentTypeError(f"bad partition: {text!r}")
-    return tuple(sorted((p for p in parts if p), reverse=True))
 
 
 def _even_keys(keys) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import conjugate, contents, kappa, normalize, weight
+from .partitions import conjugate, contents, kappa, weight
 from .prodred import pair_multiset
 from .series import LaurentFraction, LaurentPoly, same
 
@@ -23,7 +23,7 @@ from .series import LaurentFraction, LaurentPoly, same
 def f_one(mu) -> LaurentPoly:
     """Sum of q**content over the cells of mu."""
     out: dict = {}
-    for c in contents(normalize(mu)):
+    for c in contents(mu):
         key = (2 * c,)
         out[key] = out.get(key, 0) + 1
     return LaurentPoly(out)
@@ -32,7 +32,7 @@ def f_one(mu) -> LaurentPoly:
 def f_one_rows(mu) -> LaurentPoly:
     """Row-by-row double sum route to f_one."""
     out: dict = {}
-    for i, p in enumerate(normalize(mu), start=1):
+    for i, p in enumerate(mu, start=1):
         for v in range(1, p + 1):
             key = (2 * (v - i),)
             out[key] = out.get(key, 0) + 1
@@ -57,7 +57,6 @@ def _fsum(mu, axis: int) -> LaurentPoly:
 
 def f_one_closed(mu) -> LaurentFraction:
     """Closed fraction q/(q-1) * sum_i (q^(mu_i - i) - q^(-i))."""
-    mu = normalize(mu)
     num = _fsum(mu, 0).shift((2,))
     den = LaurentPoly.var(0, 2) - LaurentPoly.one()
     if num.is_zero():
@@ -98,8 +97,6 @@ def f_row_pair(m: int, n: int) -> LaurentPoly:
 
 def f_pair_2var(mu1, mu2) -> LaurentFraction:
     """Two-variable pair function sqrt(q1 q2) [F1 F2 + F1/(q2-1) + F2/(q1-1)]."""
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
     f1 = _fsum(mu1, 0)
     f2 = _fsum(mu2, 1)
     q1m1 = LaurentPoly.var(0, 2) - LaurentPoly.one()
@@ -119,8 +116,6 @@ def f_pair_2var_transposed(mu1, mu2) -> LaurentFraction:
     second partition enters through its rows rather than its columns:
         -sqrt(q1/q2) [F1 G2 + F1 q2/(1-q2) + G2/(q1-1)].
     """
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
     f1 = _fsum(mu1, 0)
     g2d: dict = {}
     for j, p in enumerate(mu2, start=1):
@@ -146,8 +141,6 @@ def verify_pair_conjugation(mu1, mu2) -> bool:
 
 def verify_coeff_sums(mu1, mu2) -> bool:
     cs = c_coeffs(mu1, mu2)
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
     same(sum(cs.values()), weight(mu1) + weight(mu2))
     return same(2 * sum(k * v for k, v in cs.items()), kappa(mu1) + kappa(mu2))
 

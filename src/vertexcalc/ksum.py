@@ -20,9 +20,9 @@ comparisons.
 The kgen and sun suites sweep the same chains, so each chain value is
 computed once per process: ktilde_brute (brute side), k00_chain_product
 (closed side of kgen), k00_chain_square and gauge_block (sinh side)
-are memoized like k_brute, keyed on their raw arguments.  Pass mus as a tuple
-of partition tuples and dims as a tuple; the verify_* functions normalize
-list arguments before they reach a memo table.  The rank-2 sinh sides
+are memoized like k_brute, keyed on their raw arguments, so every entry
+point takes mus as a tuple of canonical partition tuples and dims as a
+tuple; a list reaching a memo table is a TypeError.  The rank-2 sinh sides
 take their k00 square from k00_chain_square((trunc,), 2) too.
 """
 
@@ -32,7 +32,7 @@ import itertools
 from fractions import Fraction
 
 from .fcoeff import c_coeffs, f_pair
-from .partitions import all_partitions, conjugate, kappa, normalize, partitions_of, weight
+from .partitions import all_partitions, conjugate, kappa, partitions_of, weight
 from .prodred import (bracket, nekrasov_multiset, one_minus_qq, pair_multiset,
                       product_over, sinh_factor)
 from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
@@ -49,8 +49,6 @@ _GAUGE_CACHE: dict = {}
 @memo(_KB_CACHE)
 def k_brute(mu1, mu2, trunc: int) -> MultiQSeries:
     """Sum over the middle partition, graded by its box count."""
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
     coeffs = {}
     for d in range(trunc + 1):
         coeffs[(d,)] = LaurentFraction.sum(w2(mu1, nu) * w2(nu, mu2) for nu in partitions_of(d))
@@ -106,8 +104,8 @@ def verify_thm_kt(mu1, mu2, trunc: int) -> bool:
     lhs = k_brute(mu1, conjugate(mu2), trunc)
     rhs = k00_closed(trunc) * expand_in_q_multi(k_transposed_rational(mu1, mu2), (trunc,))
     same(lhs, rhs)
-    w = weight(normalize(mu1)) + weight(normalize(mu2))
-    ks = (kappa(normalize(mu1)) - kappa(normalize(mu2))) // 2
+    w = weight(mu1) + weight(mu2)
+    ks = (kappa(mu1) - kappa(mu2)) // 2
     pm = pair_multiset(mu1, mu2)
     binom = product_over(pm, one_minus_qq)
     sinh = product_over(pm, sinh_factor).scale(Fraction(1, 2 ** w)).shift((-ks, -w))
@@ -122,8 +120,6 @@ def verify_cor_ik2_and_ksinh(mu1, mu2) -> bool:
     pick up (-1)**(|mu1|+|mu2|) from the odd sinh factors, so the square
     is the well-defined object.
     """
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
     w = weight(mu1) + weight(mu2)
     kdiff = kappa(mu1) - kappa(mu2)
     pm = pair_multiset(mu1, mu2)
@@ -138,7 +134,7 @@ def verify_cor_ik2_and_ksinh(mu1, mu2) -> bool:
 def verify_ksinh_series(mu1, mu2, trunc: int) -> bool:
     """Squared brute series against the expanded four-block fraction."""
     kb = k_brute(mu1, conjugate(mu2), trunc)
-    four = sun_square_fraction((mu1, mu2), 1).shift((-2 * kappa(normalize(mu2)),))
+    four = sun_square_fraction((mu1, mu2), 1).shift((-2 * kappa(mu2),))
     return same(kb * kb, k00_chain_square((trunc,), 2) * expand_in_q_multi(four, (trunc,)))
 
 
@@ -151,7 +147,6 @@ def ktilde_brute(mus, dims) -> MultiQSeries:
     t^kappa times the three-leg amplitude with the incoming partition,
     the fixed leg, and the transposed outgoing partition.
     """
-    mus = [normalize(m) for m in mus]
     n = len(mus)
     dims = tuple(dims)
     if len(dims) != n - 1:
@@ -170,8 +165,8 @@ def ktilde_brute(mus, dims) -> MultiQSeries:
 
 def verify_ktilde_pair_reduction(mu1, mu2, trunc: int) -> bool:
     """Two-link chains collapse to the transposed pair series."""
-    kt = ktilde_brute((normalize(mu1), normalize(mu2)), (trunc,))
-    mono = LaurentFraction.monomial(1, (kappa(normalize(mu2)),))
+    kt = ktilde_brute((mu1, mu2), (trunc,))
+    mono = LaurentFraction.monomial(1, (kappa(mu2),))
     return same(kt, k_brute(mu1, conjugate(mu2), trunc).scale(mono))
 
 
@@ -216,7 +211,6 @@ def k00_chain_square(dims, n: int) -> MultiQSeries:
 def kgen_closed(mus, dims) -> MultiQSeries:
     """Closed form of the chain series: k00 chain factors times the
     expanded product of per-slot amplitudes and pairwise reduced products."""
-    mus = [normalize(m) for m in mus]
     n = len(mus)
     dims = tuple(dims)
     fr = LaurentFraction.one()
@@ -230,13 +224,7 @@ def kgen_closed(mus, dims) -> MultiQSeries:
     return k00_chain_product(dims, n) * expand_in_q_multi(fr, dims)
 
 
-def _chain_args(mus, dims):
-    """Normalized partition tuple and dims tuple: the memo keys of the chain builders."""
-    return tuple(normalize(m) for m in mus), tuple(dims)
-
-
 def verify_thm_kgen(mus, dims) -> bool:
-    mus, dims = _chain_args(mus, dims)
     return same(ktilde_brute(mus, dims), kgen_closed(mus, dims))
 
 
@@ -261,7 +249,6 @@ def sun_square_fraction(mus, naxes: int) -> LaurentFraction:
     (-1)**(sum of weights) of the diagonal blocks, t to the kappa ladder,
     and negative powers of each chain variable.
     """
-    mus = [normalize(m) for m in mus]
     n = len(mus)
     wsum = sum(weight(m) for m in mus)
     fr = LaurentFraction.one()
@@ -280,7 +267,6 @@ def sun_square_fraction(mus, naxes: int) -> LaurentFraction:
 
 def verify_sun_squares(mus, dims) -> bool:
     """Squared chain series against the sinh-block normal form."""
-    mus, dims = _chain_args(mus, dims)
     kt = ktilde_brute(mus, dims)
     rhs = k00_chain_square(dims, len(mus)) * expand_in_q_multi(
         sun_square_fraction(mus, len(dims)), dims)

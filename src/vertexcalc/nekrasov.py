@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ksum import k00_chain_square, k_brute, ktilde_brute, sun_square_fraction
-from .partitions import all_partitions, conjugate, kappa, normalize, partitions_of, weight
+from .partitions import all_partitions, conjugate, kappa, partitions_of, weight
 from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
 
 _FPS_CACHE: dict = {}
@@ -57,8 +57,6 @@ def z_su2(m: int, bdeg: int, fdeg: int) -> MultiQSeries:
     """Rank-2 sum over partition pairs, graded by (base, fiber) degree."""
     terms: dict = {}
     for mu1, mu2 in tuple_sweep(2, bdeg):
-        mu1 = normalize(mu1)
-        mu2 = normalize(mu2)
         b = weight(mu1) + weight(mu2)
         ks = _framed_pair_square(mu1, mu2, m, fdeg)
         for (d,), val in ks.c.items():
@@ -72,8 +70,6 @@ def z_su2_sinh_term(mu1, mu2, m: int) -> LaurentFraction:
     Axis 0 is t, axis 1 is the fiber half-power s.  The base variable is
     implicit: the term sits at base degree |mu1| + |mu2|.
     """
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
     sgn = (-1) ** (m * (weight(mu1) + weight(mu2)))
     four = sun_square_fraction((mu1, mu2), 1).shift((-2 * kappa(mu2),))
     return four.scale(sgn).shift((-m * (kappa(mu1) + kappa(mu2)), 2 * m * weight(mu2)))
@@ -87,7 +83,7 @@ def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
         lhs = _framed_pair_square(mu1, mu2, m, fdeg)
         rhs = k0sq * expand_in_q_multi(z_su2_sinh_term(mu1, mu2, m), (fdeg,))
         same(lhs, rhs)
-        b = weight(normalize(mu1)) + weight(normalize(mu2))
+        b = weight(mu1) + weight(mu2)
         agg[b] = agg[b] + rhs
     z = z_su2(m, bdeg, fdeg)
     for b in range(bdeg + 1):
@@ -112,7 +108,6 @@ def verify_fiber_swap(bdeg: int, fdeg: int) -> bool:
 
 def sun_framing(n: int, m: int, mus) -> LaurentFraction:
     """Framing monomial of one rank-n tuple at twist m."""
-    mus = [normalize(mu) for mu in mus]
     wsum = sum(weight(mu) for mu in mus)
     sgn = (-1) ** ((n + m) * wsum)
     ke = sum((n + m - 2 * i) * kappa(mus[i - 1]) for i in range(1, n + 1))
@@ -136,7 +131,6 @@ def sun_phi_slot(n: int, slot: int) -> LaurentFraction:
 
 def sun_residual(n: int, mus) -> LaurentFraction:
     """Monomial left of the squared chain identity after framing."""
-    mus = [normalize(mu) for mu in mus]
     wsum = sum(weight(mu) for mu in mus)
     sgn = (-1) ** ((3 * n - 2) * wsum)
     key = [0] * n
@@ -151,7 +145,6 @@ def sun_residual(n: int, mus) -> LaurentFraction:
 def sun_tuple_identity(n: int, mus, dims) -> bool:
     """Framed squared chain series of one tuple against its normal form."""
     dims = tuple(dims)
-    mus = tuple(normalize(mu) for mu in mus)
     framing = sun_framing(n, n - 2, mus) * sun_framing(n, 0, mus)
     kt = ktilde_brute(mus, dims)
     lhs = (kt * kt).scale(framing)
@@ -160,25 +153,22 @@ def sun_tuple_identity(n: int, mus, dims) -> bool:
     return same(lhs, rhs)
 
 
-def sun_phi_model(n: int, mus) -> bool:
-    """Does the residual factor through the slot monomials?
+def sun_phi_model(n: int, mus) -> LaurentFraction:
+    """Candidate slot factorization of the residual, to compare with sun_residual.
 
-    The candidate is the product over slots of the weight-one monomial
-    raised to the slot weight, times t to the kappa ladder exponent.
+    The product over slots of the weight-one monomial raised to the slot
+    weight, times t to the kappa ladder exponent.
     """
-    mus = [normalize(mu) for mu in mus]
     cand = LaurentFraction.one()
     for i in range(1, n + 1):
         cand = cand * sun_phi_slot(n, i) ** weight(mus[i - 1])
     ke = sum((2 * n - 2 - 2 * i) * kappa(mus[i - 1]) for i in range(1, n + 1))
-    cand = cand.shift((ke,) + (0,) * (n - 1))
-    return cand == sun_residual(n, mus)
+    return cand.shift((ke,) + (0,) * (n - 1))
 
 
 def verify_sun_pair_consistency(mu1, mu2, trunc: int) -> bool:
     """At rank 2 the framed chain square is the plain pair square."""
-    mu2 = normalize(mu2)
-    kt = ktilde_brute((normalize(mu1), mu2), (trunc,))
+    kt = ktilde_brute((mu1, mu2), (trunc,))
     m0 = LaurentFraction.monomial(1, (-2 * kappa(mu2),))
     lhs = (kt * kt).scale(m0)
     kb = k_brute(mu1, conjugate(mu2), trunc)

@@ -1,7 +1,10 @@
 """Integer partitions and the statistics the amplitude layer consumes.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
-partition is ().  All row/column indices in formulas below are 1-based to
+partition is ().  Every function of the package takes partitions in this
+canonical form and does not re-check it: the sweeps here yield canonical
+tuples, and normalize canonicalizes any other input at the caller's edge.
+All row/column indices in formulas below are 1-based to
 match the usual conventions, while the code iterates 0-based.
 """
 
@@ -28,10 +31,6 @@ def normalize(mu: Iterable[int]) -> tuple[int, ...]:
 
 def weight(mu) -> int:
     return sum(mu)
-
-
-def length(mu) -> int:
-    return len(mu)
 
 
 def conjugate(mu) -> tuple[int, ...]:
@@ -103,7 +102,6 @@ def hook_pair_sum_sides(mu, n: int) -> tuple[LaurentPoly, LaurentPoly]:
         sum_x t^h(x) + sum_{1<=i<j<=n} t^(mu_i - mu_j + j - i)
             = sum_{i<=n} sum_{j=1}^{mu_i - i + n} t^j.
     """
-    mu = normalize(mu)
     if n < len(mu):
         raise ValueError("cutoff shorter than the partition")
     rows = list(mu) + [0] * (n - len(mu))

@@ -21,7 +21,7 @@ from collections import Counter
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 
-from .partitions import conjugate, contents, normalize
+from .partitions import conjugate, contents
 from .series import LaurentFraction, LaurentPoly
 
 
@@ -57,7 +57,6 @@ def product_over(ms: Mapping[int, int], factor: Callable[[int], LaurentFraction]
 
 def single_multiset(mu) -> dict[int, int]:
     """Content exponents of mu, each with multiplicity -1."""
-    mu = normalize(mu)
     out = Counter()
     for c in contents(mu):
         out[c] -= 1
@@ -72,8 +71,6 @@ def pair_multiset(mu1, mu2) -> dict[int, int]:
     total count |mu1| + |mu2|, and collapses to single_multiset(mu1) when
     mu2 is empty.
     """
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
     l1, l2 = len(mu1), len(mu2)
     out: Counter = Counter()
     for i in range(1, l1 + 1):
@@ -96,8 +93,6 @@ def nekrasov_multiset(mu, nu) -> dict[int, int]:
     nu), each cell s of mu gives a_mu(s) + l_nu(s) + 1 and each cell s of
     nu gives -(a_nu(s) + l_mu(s) + 1), every one with multiplicity -1.
     """
-    mu = normalize(mu)
-    nu = normalize(nu)
     out: Counter = Counter()
     for rows, cols, sgn in ((mu, conjugate(nu), 1), (nu, conjugate(mu), -1)):
         for i, p in enumerate(rows, 1):

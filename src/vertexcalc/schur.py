@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .partitions import (all_partitions, conjugate, contains, hooks, kappa,
-                         normalize, subpartitions, weight)
+from .partitions import (all_partitions, conjugate, contains, hooks, kappa, subpartitions,
+                         weight)
 from .prodred import bracket
 from .series import LaurentFraction, LaurentPoly, MultiQSeries, memo, same
 
@@ -34,8 +34,6 @@ def lr_coeffs(lam, eta) -> dict:
 
     Returns {nu: coefficient}; counts lattice skew tableaux by content.
     """
-    lam = normalize(lam)
-    eta = normalize(eta)
     if not contains(eta, lam):
         return {}
     if lam == eta:
@@ -78,8 +76,6 @@ def lr_coeffs(lam, eta) -> dict:
 @memo(_SSYT_CACHE)
 def _ssyt_weights(lam, eta, nletters: int) -> dict:
     """Content vectors of the semistandard fillings of lam/eta, with counts."""
-    lam = normalize(lam)
-    eta = normalize(eta)
     if not contains(eta, lam):
         return {}
     pad = eta + (0,) * (len(lam) - len(eta))
@@ -159,7 +155,6 @@ def principal_schur(mu) -> LaurentFraction:
     Equals (-1)^|mu| t^(-kappa/2) / prod_hooks (t^h - t^-h); positive
     series in t, lowest term t^|mu| times higher order.
     """
-    mu = normalize(mu)
     out = LaurentFraction.monomial((-1) ** weight(mu), (-kappa(mu) // 2,))
     for h in hooks(mu):
         out = out * bracket(h) ** -1
@@ -168,8 +163,6 @@ def principal_schur(mu) -> LaurentFraction:
 
 @memo(_PSK_CACHE)
 def principal_skew(lam, eta) -> LaurentFraction:
-    lam = normalize(lam)
-    eta = normalize(eta)
     return LaurentFraction.sum(principal_schur(nu).scale(c)
                                for nu, c in lr_coeffs(lam, eta).items())
 
@@ -182,8 +175,6 @@ def schur_at_mu_rho(nu, mu) -> LaurentFraction:
         (-1)^|nu| t^kappa(nu) * sum_eta ps(mu/eta) ps(nu/eta) / ps(mu)
     with eta running over shapes contained in both arguments.
     """
-    nu = normalize(nu)
-    mu = normalize(mu)
     acc = LaurentFraction.sum(principal_skew(mu, eta) * principal_skew(nu, eta)
                               for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu)
                               if contains(eta, mu) and contains(eta, nu))
@@ -194,16 +185,12 @@ def schur_at_mu_rho(nu, mu) -> LaurentFraction:
 @memo(_SKAT_CACHE)
 def skew_at_mu_rho(lam, eta, mu) -> LaurentFraction:
     """Skew analogue of schur_at_mu_rho via the straight-shape expansion."""
-    lam = normalize(lam)
-    eta = normalize(eta)
-    mu = normalize(mu)
     return LaurentFraction.sum(schur_at_mu_rho(nu, mu).scale(c)
                                for nu, c in lr_coeffs(lam, eta).items())
 
 
 def verify_principal_against_finite(mu, deg: int) -> bool:
     """Cross-check the closed principal form against explicit tableaux."""
-    mu = normalize(mu)
     n = (deg + weight(mu)) // 2 + 2
     closed = principal_schur(mu).expand_at_zero(deg)
     finite = {e[0] if e else 0: c for e, c in principal_schur_finite(mu, n).d.items() if (e[0] if e else 0) <= deg}
@@ -216,14 +203,14 @@ def verify_schur_at_empty(nu) -> bool:
     b = principal_schur(nu).invert_vars()
     same(a, b)
     w = LaurentFraction.monomial(1, (kappa(nu) // 2,))
-    for h in hooks(normalize(nu)):
+    for h in hooks(nu):
         w = w * bracket(h) ** -1
     return same(a, w)
 
 
 def verify_schur_at_conjugation(nu, mu) -> bool:
     """Inverting t matches transposing both partitions, up to (-1)^|nu|."""
-    sign = (-1) ** weight(normalize(nu))
+    sign = (-1) ** weight(nu)
     return same(schur_at_mu_rho(nu, mu).invert_vars(),
                 schur_at_mu_rho(conjugate(nu), conjugate(mu)).scale(sign))
 
@@ -241,8 +228,6 @@ def verify_skew_cauchy(mu, nu, nx: int, ny: int, trunc: int) -> bool:
     sum_lam s_{lam/mu}(x) s_{lam/nu}(y)
         = prod_{i,j} (1 - x_i y_j)^(-1) * sum_tau s_{nu/tau}(x) s_{mu/tau}(y)
     """
-    mu = normalize(mu)
-    nu = normalize(nu)
     wmax = max(weight(mu), weight(nu)) + trunc
     lhs = MultiQSeries((trunc,))
     for lam in all_partitions(wmax):

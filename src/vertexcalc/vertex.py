@@ -9,7 +9,7 @@ against the degeneration and symmetry laws.
 
 from __future__ import annotations
 
-from .partitions import conjugate, hooks, kappa, normalize, subpartitions, contains, weight
+from .partitions import conjugate, hooks, kappa, subpartitions, contains, weight
 from .prodred import bracket
 from .schur import (lr_coeffs, principal_schur, principal_skew, schur_at_mu_rho,
                     skew_at_mu_rho)
@@ -23,7 +23,6 @@ _W3_CACHE: dict = {}
 @memo(_W1_CACHE)
 def w1(mu) -> LaurentFraction:
     """One-leg amplitude t^(kappa/2) / prod_hooks (t^h - t^-h)."""
-    mu = normalize(mu)
     out = LaurentFraction.monomial(1, (kappa(mu) // 2,))
     for h in hooks(mu):
         out = out * bracket(h) ** -1
@@ -32,7 +31,6 @@ def w1(mu) -> LaurentFraction:
 
 def w1_bracket(mu) -> LaurentFraction:
     """Row-difference bracket route to the one-leg amplitude."""
-    mu = normalize(mu)
     l = len(mu)
     out = LaurentFraction.monomial(1, (kappa(mu) // 2,))
     for i in range(1, l + 1):
@@ -47,15 +45,11 @@ def w1_bracket(mu) -> LaurentFraction:
 @memo(_W2_CACHE)
 def w2(mu, nu) -> LaurentFraction:
     """Two-leg amplitude: w1(mu) times the specialization of nu at mu's background."""
-    mu = normalize(mu)
-    nu = normalize(nu)
     return w1(mu) * schur_at_mu_rho(nu, mu)
 
 
 def w2_skew(mu, nu) -> LaurentFraction:
     """Manifestly symmetric skew-sum route to the two-leg amplitude."""
-    mu = normalize(mu)
-    nu = normalize(nu)
     acc = LaurentFraction.sum(principal_skew(mu, eta) * principal_skew(nu, eta)
                               for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu)
                               if contains(eta, mu) and contains(eta, nu))
@@ -66,9 +60,6 @@ def w2_skew(mu, nu) -> LaurentFraction:
 @memo(_W3_CACHE)
 def w3(mu1, mu2, mu3) -> LaurentFraction:
     """Three-leg amplitude, skew route (the fast production path)."""
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
-    mu3 = normalize(mu3)
     m2t = conjugate(mu2)
     m3t = conjugate(mu3)
     acc = LaurentFraction.sum(skew_at_mu_rho(mu1, eta, m2t) * skew_at_mu_rho(m3t, eta, mu2)
@@ -80,9 +71,6 @@ def w3(mu1, mu2, mu3) -> LaurentFraction:
 
 def w3_def(mu1, mu2, mu3) -> LaurentFraction:
     """Definition route: glue two-leg amplitudes along shared shapes."""
-    mu1 = normalize(mu1)
-    mu2 = normalize(mu2)
-    mu3 = normalize(mu3)
     m2t = conjugate(mu2)
     m3t = conjugate(mu3)
     terms = []
@@ -119,8 +107,6 @@ def verify_w3_cyclic(mu1, mu2, mu3) -> bool:
 
 
 def verify_w3_degenerations(mu, nu) -> bool:
-    mu = normalize(mu)
-    nu = normalize(nu)
     same(w3(mu, nu, ()), w2(mu, conjugate(nu)).shift((kappa(nu),)))
     same(w3(mu, (), nu), w2(conjugate(mu), nu).shift((kappa(mu),)))
     return same(w3((), mu, nu), w2(mu, conjugate(nu)).shift((kappa(nu),)))
@@ -128,14 +114,14 @@ def verify_w3_degenerations(mu, nu) -> bool:
 
 def verify_w3_transpose_all(mu1, mu2, mu3) -> bool:
     """Transposing all three legs reverses the order, with a t shift."""
-    ks = kappa(normalize(mu1)) + kappa(normalize(mu2)) + kappa(normalize(mu3))
+    ks = kappa(mu1) + kappa(mu2) + kappa(mu3)
     lhs = w3(conjugate(mu1), conjugate(mu2), conjugate(mu3))
     return same(lhs, w3(mu3, mu2, mu1).shift((-ks,)))
 
 
 def verify_w3_inversion(mu1, mu2, mu3) -> bool:
     """Inverting t equals transposing every leg, up to a global sign."""
-    sign = (-1) ** (weight(normalize(mu1)) + weight(normalize(mu2)) + weight(normalize(mu3)))
+    sign = (-1) ** (weight(mu1) + weight(mu2) + weight(mu3))
     lhs = w3(mu1, mu2, mu3).invert_vars()
     rhs = w3(conjugate(mu1), conjugate(mu2), conjugate(mu3)).scale(sign)
     return same(lhs, rhs)
@@ -147,8 +133,8 @@ def verify_w3_outer_transpose(mu1, mu2, mu3) -> bool:
     The monomial factor carries kappa of each outer leg positively and
     kappa of the middle leg negatively.
     """
-    sign = (-1) ** (weight(normalize(mu1)) + weight(normalize(mu2)) + weight(normalize(mu3)))
-    ke = kappa(normalize(mu1)) - kappa(normalize(mu2)) + kappa(normalize(mu3))
+    sign = (-1) ** (weight(mu1) + weight(mu2) + weight(mu3))
+    ke = kappa(mu1) - kappa(mu2) + kappa(mu3)
     lhs = w3(conjugate(mu1), mu2, conjugate(mu3)).invert_vars()
     rhs = w3(conjugate(mu3), mu2, conjugate(mu1)).scale(sign).shift((ke,))
     return same(lhs, rhs)
@@ -156,8 +142,8 @@ def verify_w3_outer_transpose(mu1, mu2, mu3) -> bool:
 
 def verify_w3_reversal(mu1, mu2, mu3) -> bool:
     """Reversing the legs matches evaluation at inverted t with a shift."""
-    sign = (-1) ** (weight(normalize(mu1)) + weight(normalize(mu2)) + weight(normalize(mu3)))
-    ks = kappa(normalize(mu1)) + kappa(normalize(mu2)) + kappa(normalize(mu3))
+    sign = (-1) ** (weight(mu1) + weight(mu2) + weight(mu3))
+    ks = kappa(mu1) + kappa(mu2) + kappa(mu3)
     lhs = w3(mu3, mu2, mu1)
     rhs = w3(mu1, mu2, mu3).invert_vars().scale(sign).shift((ks,))
     return same(lhs, rhs)

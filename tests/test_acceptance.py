@@ -15,7 +15,8 @@ from vertexcalc.ksum import (k00_closed, k_brute, verify_cor_ik2_and_ksinh,
                              verify_ksinh_series, verify_ktilde_pair_reduction,
                              verify_sun_squares, verify_thm_k,
                              verify_thm_kgen, verify_thm_kt)
-from vertexcalc.nekrasov import sun_phi_model, sun_tuple_identity, tuple_sweep, verify_su2
+from vertexcalc.nekrasov import (sun_phi_model, sun_residual, sun_tuple_identity, tuple_sweep,
+                                 verify_su2)
 from vertexcalc.partitions import all_partitions, partitions_of, weight
 from vertexcalc.report import run_checks
 from vertexcalc.schur import verify_chain_sum, verify_skew_cauchy
@@ -126,7 +127,8 @@ def test_criterion_10_rank2_framed_equalities():
     ok = all(verify_su2(m, 2, 4) for m in (0, 1, 2))
     sweep = tuple_sweep(3, 1)
     ok = ok and all(sun_tuple_identity(3, mus, (2, 2)) for mus in sweep)
-    phi = "confirmed" if all(sun_phi_model(3, mus) for mus in sweep) else "not matched"
+    matched = all(sun_phi_model(3, mus) == sun_residual(3, mus) for mus in sweep)
+    phi = "confirmed" if matched else "not matched"
     conclude(10, "rank-2 framed equalities; rank-3 slot factors " + phi, ok,
              "framings 0,1,2 at base 2 fiber 4; rank-3 report at base 1",
              time.time() - t0, 600)

@@ -70,3 +70,19 @@ def test_checks_return_no_bare_comparison():
     assert sum(":suite_" in name for name in found) >= 50
     offenders = [name for name, fn in found.items() if any(bare(e) for e in returned(fn))]
     assert offenders == []
+
+
+def test_only_the_edges_call_normalize():
+    # partitions arrive canonical from the sweeps and from cli.partition_arg,
+    # so no layer between them re-checks its arguments
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("partitions.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "normalize":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -138,12 +138,6 @@ def test_chain_builders_are_memoized(fn, table_name, args, monkeypatch):
     assert again == first and again is not first and args not in table
 
 
-def test_chain_checks_accept_lists():
-    # the verify entry points turn list arguments into memo keys themselves
-    assert verify_thm_kgen([[1], [1, 0]], [2])
-    assert verify_sun_squares([[1], []], [2])
-
-
 def _expand_per_cell(fr, dims):
     """The earlier expand_in_q_multi, kept as the reference: every partial
     cell sum is reduced as a LaurentFraction after each binomial."""

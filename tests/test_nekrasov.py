@@ -44,7 +44,7 @@ def test_rank3_tuple_identities():
     assert len(sweep) == 4
     for mus in sweep:
         assert sun_tuple_identity(3, mus, (2, 2))
-        assert sun_phi_model(3, mus)
+        assert sun_phi_model(3, mus) == sun_residual(3, mus)
 
 
 def test_rank2_chain_consistency():

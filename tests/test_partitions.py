@@ -1,10 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vertexcalc.cli import partition_arg
+from vertexcalc.nekrasov import pair_layer, tuple_sweep
 from vertexcalc.partitions import (all_partitions, conjugate, contains,
                                    contents, hooks, kappa,
-                                   length, normalize, partitions_of,
+                                   normalize, partitions_of,
                                    subpartitions, verify_hook_identity, weight)
+from vertexcalc.schur import lr_coeffs
 
 
 @st.composite
@@ -89,5 +92,27 @@ def test_hook_content_identity_small():
 
 
 def test_length_weight():
-    assert length((3, 1, 1)) == 3
     assert weight((3, 1, 1)) == 5
+
+
+def canonical(mu) -> bool:
+    return type(mu) is tuple and normalize(mu) == mu
+
+
+def test_partition_sources_yield_canonical_tuples():
+    # no layer re-checks its partition arguments, so every place partitions
+    # come from must hand out canonical tuples
+    top = 8
+    parts = list(all_partitions(top))
+    assert all(canonical(mu) for n in range(top + 1) for mu in partitions_of(n))
+    assert all(canonical(mu) for mu in parts)
+    assert all(canonical(mu) for mu in map(conjugate, parts))
+    assert all(canonical(eta) for mu in parts for eta in subpartitions(mu))
+    lr = lr_coeffs.__wrapped__
+    assert all(canonical(nu) for lam in parts for eta in subpartitions(lam)
+               for nu in lr(lam, eta))
+    for n in (1, 2, 3):
+        assert all(canonical(mu) for mus in tuple_sweep(n, top) for mu in mus)
+    assert all(canonical(mu) for b in range(top + 1) for pair in pair_layer(b) for mu in pair)
+    assert [partition_arg(s) for s in ("1,2", "0", "3,0,1")] == [(2, 1), (), (3, 1)]
+    assert all(canonical(partition_arg(s)) for s in ("1,2", "0", "3,0,1"))
