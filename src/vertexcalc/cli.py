@@ -7,6 +7,11 @@ the half-power (t, s) lattice.  Verification reports never embed wall
 time, so fixed parameters give byte-identical JSON files.  Checks run in
 one thread; --threads N is still accepted and validated, and N > 1 only
 draws a note on stderr.
+
+compute runs one path for every kind: COMPUTE_READS says which flags each
+kind form reads and what an absent one defaults to, COMPUTE_BUILD turns
+the resolved flags into a value, and _render picks the human text and the
+JSON value by that value's type.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from . import fcoeff, ksum, nekrasov, vertex
 from .partitions import conjugate, normalize
 from .prodred import multiset_json, pair_multiset
 from .report import render_human, report_json, run_checks
-from .series import (LaurentFraction, LaurentPoly, coeff_json, expand_in_q_multi,
-                     multiqseries_json, qseries_json)
+from .series import (LaurentFraction, LaurentPoly, MultiQSeries, coeff_json,
+                     expand_in_q_multi, multiqseries_json, qseries_json)
 from .suites import SUITE_ORDER, build_suite
 
 
@@ -40,8 +45,9 @@ def partition_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad partition: {text!r}")
 
 
-def _even_keys(keys) -> bool:
-    return all(all(e % 2 == 0 for e in k) for k in keys)
+def _units(exponents) -> str:
+    """q-units when every exponent is even, t-units otherwise."""
+    return "q" if all(e % 2 == 0 for e in exponents) else "t"
 
 
 def _mono_str(key, units: str, naxes: int) -> str:
@@ -77,19 +83,17 @@ def _join_terms(terms) -> str:
     return out
 
 
-def poly_str(p: LaurentPoly, units: str | None = None) -> str:
+def poly_str(p: LaurentPoly, units: str) -> str:
     if not p.d:
         return "0"
     naxes = max(max((len(k) for k in p.d), default=1), 1)
-    if units is None:
-        units = "q" if _even_keys(p.d) else "t"
     return _join_terms([_term_str(c, _mono_str(k, units, naxes))
                         for k, c in reversed(p.terms())])
 
 
 def fraction_str(fr: LaurentFraction) -> tuple[str, str]:
     den = fr.den_poly()
-    units = "q" if _even_keys(list(fr.num.d) + list(den.d)) else "t"
+    units = _units(e for k in (*fr.num.d, *den.d) for e in k)
     if not fr.den:
         return poly_str(fr.num, units), units
     num_p, den_p = fr.num, den
@@ -119,7 +123,7 @@ def qseries_str(qs) -> str:
 
 
 def expansion_str(table: dict, mode: str, order: int) -> tuple[str, str]:
-    units = "q" if all(e % 2 == 0 for e in table) else "t"
+    units = _units(table)
     name = "q" if units == "q" else "t"
     terms = []
     for e in sorted(table):
@@ -214,121 +218,98 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _need(args, *names):
-    vals = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            raise UsageError(f"compute {args.kind} needs --{name}")
-        vals.append(v)
-    return vals
-
-
-def _fraction_output(fr: LaurentFraction, args, params: dict):
-    if args.expand:
-        order = args.order if args.order is not None else 10
-        table = (fr.expand_at_zero(order) if args.expand == "at_zero"
-                 else fr.expand_at_infinity(order))
-        text, units = expansion_str(table, args.expand, order)
-        value = [[e, str(Fraction(c))] for e, c in sorted(table.items())]
-        params["expand"] = args.expand
-        params["order"] = order
-        return text, units, value
+def _fraction_output(fr: LaurentFraction, expand: str | None, order: int | None):
+    if expand:
+        table = fr.expand_at_zero(order) if expand == "at_zero" else fr.expand_at_infinity(order)
+        text, units = expansion_str(table, expand, order)
+        return text, units, [[e, str(Fraction(c))] for e, c in sorted(table.items())]
     text, units = fraction_str(fr)
     return text, units, coeff_json(fr)
 
 
-# The optional flags each kind reads; k reads --qdeg in its plain form and
-# --expand and --order in its --transpose2 form.
+def _render(value, vals: dict):
+    """Human text, units and JSON value of a computed value, picked by its type."""
+    if isinstance(value, LaurentFraction):
+        return _fraction_output(value, vals.get("expand"), vals.get("order"))
+    if isinstance(value, MultiQSeries):
+        if len(value.dims) == 1:
+            return qseries_str(value), "t", qseries_json(value)
+        js = multiqseries_json(value)
+        return json.dumps(js, sort_keys=True), "t", js
+    pairs = multiset_json(value)
+    return "[" + ",".join(f"({m},{c})" for m, c in pairs) + "]", "t", pairs
+
+
+# For each kind form, the flags it reads and what each defaults to when
+# absent; a flag left at None stays out of the JSON params.  Every
+# partition flag a form reads is required; --order applies only with
+# --expand.  k reads --qdeg in its plain form and --expand and --order in
+# its --transpose2 form.
 COMPUTE_READS = {
-    "w1": {"mu", "expand", "order"},
-    "w2": {"mu1", "mu2", "expand", "order"},
-    "w3": {"mu1", "mu2", "mu3", "expand", "order"},
-    "f": {"mu1", "mu2", "transpose2", "two_var"},
-    "k": {"mu1", "mu2", "transpose2", "qdeg"},
-    "k --transpose2": {"mu1", "mu2", "transpose2", "expand", "order"},
-    "z": {"m", "bdeg", "fdeg"},
-    "multiset": {"mu1", "mu2"},
+    "w1": {"mu": None, "expand": None, "order": 10},
+    "w2": {"mu1": None, "mu2": None, "expand": None, "order": 10},
+    "w3": {"mu1": None, "mu2": None, "mu3": None, "expand": None, "order": 10},
+    "f": {"mu1": None, "mu2": None, "transpose2": False, "two_var": None},
+    "k": {"mu1": None, "mu2": None, "transpose2": False, "qdeg": 4},
+    "k --transpose2": {"mu1": None, "mu2": None, "transpose2": True,
+                       "expand": None, "order": 4},
+    "z": {"m": 0, "bdeg": 2, "fdeg": 4},
+    "multiset": {"mu1": None, "mu2": None},
 }
 COMPUTE_FLAGS = sorted(set().union(*COMPUTE_READS.values()))
 
 
+def _f(v: dict):
+    if v["two_var"]:
+        pair = fcoeff.f_pair_2var_transposed if v["transpose2"] else fcoeff.f_pair_2var
+        return pair(v["mu1"], v["mu2"])
+    second = conjugate(v["mu2"]) if v["transpose2"] else v["mu2"]
+    return LaurentFraction.from_poly(fcoeff.f_pair(v["mu1"], second))
+
+
+def _k_transposed(v: dict):
+    if v["expand"] not in (None, "at_zero"):
+        raise UsageError("the series form only expands at_zero in Q")
+    fr = ksum.k_transposed_rational(v["mu1"], v["mu2"])
+    return expand_in_q_multi(fr, (v["order"],)) if v["expand"] else fr
+
+
+# The value of each kind form, from its resolved flags.
+COMPUTE_BUILD = {
+    "w1": lambda v: vertex.w1(v["mu"]),
+    "w2": lambda v: vertex.w2(v["mu1"], v["mu2"]),
+    "w3": lambda v: vertex.w3(v["mu1"], v["mu2"], v["mu3"]),
+    "f": _f,
+    "k": lambda v: ksum.k_brute(v["mu1"], v["mu2"], v["qdeg"]),
+    "k --transpose2": _k_transposed,
+    "z": lambda v: nekrasov.z_su2(v["m"], v["bdeg"], v["fdeg"]),
+    "multiset": lambda v: pair_multiset(v["mu1"], v["mu2"]),
+}
+
+
 def cmd_compute(args) -> int:
     form = "k --transpose2" if args.kind == "k" and args.transpose2 else args.kind
+    reads = COMPUTE_READS[form]
     for name in COMPUTE_FLAGS:
         val = getattr(args, name)
-        if val is not None and val is not False and name not in COMPUTE_READS[form]:
+        if val is not None and val is not False and name not in reads:
             raise UsageError(f"compute {form} does not read --{name.replace('_', '-')}")
     for name in ("qdeg", "m", "bdeg", "fdeg", "order"):
         if (getattr(args, name) or 0) < 0:
             raise UsageError(f"--{name} must be at least 0")
     if args.order is not None and not args.expand:
         raise UsageError("--order needs --expand")
-    params: dict = {}
-    if args.kind == "w1":
-        (mu,) = _need(args, "mu")
-        params["mu"] = list(mu)
-        text, units, value = _fraction_output(vertex.w1(mu), args, params)
-    elif args.kind == "w2":
-        mu1, mu2 = _need(args, "mu1", "mu2")
-        params["mu1"], params["mu2"] = list(mu1), list(mu2)
-        text, units, value = _fraction_output(vertex.w2(mu1, mu2), args, params)
-    elif args.kind == "w3":
-        mu1, mu2, mu3 = _need(args, "mu1", "mu2", "mu3")
-        params["mu1"], params["mu2"], params["mu3"] = list(mu1), list(mu2), list(mu3)
-        text, units, value = _fraction_output(vertex.w3(mu1, mu2, mu3), args, params)
-    elif args.kind == "f":
-        mu1, mu2 = _need(args, "mu1", "mu2")
-        params["mu1"], params["mu2"] = list(mu1), list(mu2)
-        params["transpose2"] = args.transpose2
-        second = conjugate(mu2) if args.transpose2 else mu2
-        if args.two_var:
-            params["two_var"] = True
-            fr = (fcoeff.f_pair_2var_transposed(mu1, mu2) if args.transpose2
-                  else fcoeff.f_pair_2var(mu1, mu2))
-            text, units, value = _fraction_output(fr, args, params)
-        else:
-            poly = fcoeff.f_pair(mu1, second)
-            text = poly_str(poly)
-            units = "q" if _even_keys(poly.d) else "t"
-            value = coeff_json(poly)
-    elif args.kind == "k":
-        mu1, mu2 = _need(args, "mu1", "mu2")
-        params["mu1"], params["mu2"] = list(mu1), list(mu2)
-        params["transpose2"] = args.transpose2
-        if args.transpose2:
-            fr = ksum.k_transposed_rational(mu1, mu2)
-            if args.expand:
-                if args.expand != "at_zero":
-                    raise UsageError("the series form only expands at_zero in Q")
-                order = args.order if args.order is not None else 4
-                qs = expand_in_q_multi(fr, (order,))
-                params["expand"], params["order"] = args.expand, order
-                text, units, value = qseries_str(qs), "t", qseries_json(qs)
-            else:
-                text, units = fraction_str(fr)
-                value = coeff_json(fr)
-        else:
-            qdeg = args.qdeg if args.qdeg is not None else 4
-            params["qdeg"] = qdeg
-            qs = ksum.k_brute(mu1, mu2, qdeg)
-            text, units, value = qseries_str(qs), "t", qseries_json(qs)
-    elif args.kind == "z":
-        m = args.m if args.m is not None else 0
-        bdeg = args.bdeg if args.bdeg is not None else 2
-        fdeg = args.fdeg if args.fdeg is not None else 4
-        params["m"], params["bdeg"], params["fdeg"] = m, bdeg, fdeg
-        zz = nekrasov.z_su2(m, bdeg, fdeg)
-        value = multiqseries_json(zz)
-        units = "t"
-        text = json.dumps(value, sort_keys=True)
-    else:
-        mu1, mu2 = _need(args, "mu1", "mu2")
-        params["mu1"], params["mu2"] = list(mu1), list(mu2)
-        pairs = multiset_json(pair_multiset(mu1, mu2))
-        text = "[" + ",".join(f"({m},{c})" for m, c in pairs) + "]"
-        units = "t"
-        value = pairs
+    vals = {}
+    for name, default in reads.items():
+        val = getattr(args, name)
+        if val is None or val is False:
+            if name.startswith("mu"):
+                raise UsageError(f"compute {args.kind} needs --{name}")
+            val = default
+        vals[name] = val
+    params = {name: list(val) if name.startswith("mu") else val for name, val in vals.items()
+              if val is not None and (name != "order" or args.expand)}
+    text, units, value = _render(COMPUTE_BUILD[form](vals), vals)
     print(text)
     if args.json:
         payload = {"kind": args.kind, "params": params, "units": units, "value": value}

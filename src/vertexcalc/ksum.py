@@ -148,7 +148,6 @@ def ktilde_brute(mus, dims) -> MultiQSeries:
     the fixed leg, and the transposed outgoing partition.
     """
     n = len(mus)
-    dims = tuple(dims)
     if len(dims) != n - 1:
         raise ValueError("need one truncation per chain variable")
     pools = [list(all_partitions(d)) for d in dims]
@@ -182,7 +181,6 @@ def _ray_key(k: int, l: int, val: int) -> tuple[int, ...]:
 
 def k00_chain(dims, k: int, l: int) -> MultiQSeries:
     """k00 evaluated at the product of the chain variables k..l-1."""
-    dims = tuple(dims)
     depth = min(dims[k - 1:l - 1])
     base = k00_closed(depth)
     cells = {}
@@ -194,7 +192,7 @@ def k00_chain(dims, k: int, l: int) -> MultiQSeries:
 
 @memo(_K00P_CACHE)
 def k00_chain_product(dims, n: int) -> MultiQSeries:
-    out = MultiQSeries.one(tuple(dims))
+    out = MultiQSeries.one(dims)
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             out = out * k00_chain(dims, k, l)
@@ -212,7 +210,6 @@ def kgen_closed(mus, dims) -> MultiQSeries:
     """Closed form of the chain series: k00 chain factors times the
     expanded product of per-slot amplitudes and pairwise reduced products."""
     n = len(mus)
-    dims = tuple(dims)
     fr = LaurentFraction.one()
     for mu in mus:
         fr = fr * w1(mu)

@@ -144,7 +144,6 @@ def sun_residual(n: int, mus) -> LaurentFraction:
 
 def sun_tuple_identity(n: int, mus, dims) -> bool:
     """Framed squared chain series of one tuple against its normal form."""
-    dims = tuple(dims)
     framing = sun_framing(n, n - 2, mus) * sun_framing(n, 0, mus)
     kt = ktilde_brute(mus, dims)
     lhs = (kt * kt).scale(framing)

@@ -95,6 +95,13 @@ def subpartitions(mu) -> Iterator[tuple[int, ...]]:
             yield eta
 
 
+def common_subpartitions(a, b) -> Iterator[tuple[int, ...]]:
+    """Partitions inside both a and b, weight-major as subpartitions yields them."""
+    for eta in subpartitions(a if weight(a) <= weight(b) else b):
+        if contains(eta, a) and contains(eta, b):
+            yield eta
+
+
 def hook_pair_sum_sides(mu, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Both sides of the hook/row-difference rearrangement at cutoff n.
 

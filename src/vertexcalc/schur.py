@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .partitions import (all_partitions, conjugate, contains, hooks, kappa, subpartitions,
-                         weight)
+from .partitions import (all_partitions, common_subpartitions, conjugate, contains, hooks,
+                         kappa, weight)
 from .prodred import bracket
 from .series import LaurentFraction, LaurentPoly, MultiQSeries, memo, same
 
@@ -176,8 +176,7 @@ def schur_at_mu_rho(nu, mu) -> LaurentFraction:
     with eta running over shapes contained in both arguments.
     """
     acc = LaurentFraction.sum(principal_skew(mu, eta) * principal_skew(nu, eta)
-                              for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu)
-                              if contains(eta, mu) and contains(eta, nu))
+                              for eta in common_subpartitions(mu, nu))
     out = acc * principal_schur(mu).inv()
     return out.scale((-1) ** weight(nu)).shift((kappa(nu),))
 
@@ -248,9 +247,7 @@ def verify_skew_cauchy(mu, nu, nx: int, ny: int, trunc: int) -> bool:
         for j in range(ny):
             kern = kern * _geometric([1 if a in (i, nx + j) else 0 for a in range(nx + ny)], trunc)
     rhs = MultiQSeries((trunc,))
-    for tau in subpartitions(mu if weight(mu) <= weight(nu) else nu):
-        if not (contains(tau, mu) and contains(tau, nu)):
-            continue
+    for tau in common_subpartitions(mu, nu):
         a = skew_schur_poly(nu, tau, trunc, 0, nx)
         b = skew_schur_poly(mu, tau, trunc, nx, ny)
         rhs = rhs + a * b
@@ -294,9 +291,7 @@ def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
             else:
                 prev = chain[-1]
                 link = MultiQSeries((trunc,))
-                for eta in subpartitions(prev if weight(prev) <= weight(nu) else nu):
-                    if not (contains(eta, prev) and contains(eta, nu)):
-                        continue
+                for eta in common_subpartitions(prev, nu):
                     a = skew_schur_poly(prev, eta, trunc, yaxis(idx - 1, 0), n)
                     b = skew_schur_poly(nu, eta, trunc, xaxis(idx, 0), n)
                     link = link + a * b

@@ -9,7 +9,7 @@ against the degeneration and symmetry laws.
 
 from __future__ import annotations
 
-from .partitions import conjugate, hooks, kappa, subpartitions, contains, weight
+from .partitions import common_subpartitions, conjugate, hooks, kappa, weight
 from .prodred import bracket
 from .schur import (lr_coeffs, principal_schur, principal_skew, schur_at_mu_rho,
                     skew_at_mu_rho)
@@ -51,8 +51,7 @@ def w2(mu, nu) -> LaurentFraction:
 def w2_skew(mu, nu) -> LaurentFraction:
     """Manifestly symmetric skew-sum route to the two-leg amplitude."""
     acc = LaurentFraction.sum(principal_skew(mu, eta) * principal_skew(nu, eta)
-                              for eta in subpartitions(mu if weight(mu) <= weight(nu) else nu)
-                              if contains(eta, mu) and contains(eta, nu))
+                              for eta in common_subpartitions(mu, nu))
     sign = (-1) ** (weight(mu) + weight(nu))
     return acc.scale(sign).shift((kappa(mu) + kappa(nu),))
 
@@ -63,8 +62,7 @@ def w3(mu1, mu2, mu3) -> LaurentFraction:
     m2t = conjugate(mu2)
     m3t = conjugate(mu3)
     acc = LaurentFraction.sum(skew_at_mu_rho(mu1, eta, m2t) * skew_at_mu_rho(m3t, eta, mu2)
-                              for eta in subpartitions(mu1 if weight(mu1) <= weight(m3t) else m3t)
-                              if contains(eta, mu1) and contains(eta, m3t))
+                              for eta in common_subpartitions(mu1, m3t))
     out = acc * principal_schur(m2t)
     return out.scale((-1) ** weight(mu2)).shift((kappa(mu3),))
 
@@ -74,9 +72,7 @@ def w3_def(mu1, mu2, mu3) -> LaurentFraction:
     m2t = conjugate(mu2)
     m3t = conjugate(mu3)
     terms = []
-    for eta in subpartitions(mu1 if weight(mu1) <= weight(m3t) else m3t):
-        if not (contains(eta, mu1) and contains(eta, m3t)):
-            continue
+    for eta in common_subpartitions(mu1, m3t):
         left = LaurentFraction.sum(w2(m2t, rho).scale(c) for rho, c in lr_coeffs(mu1, eta).items())
         right = LaurentFraction.sum(w2(mu2, sig).scale(c) for sig, c in lr_coeffs(m3t, eta).items())
         terms.append(left * right)

@@ -174,9 +174,29 @@ def test_config_cache_limit_is_an_unknown_key(capsys, tmp_path):
     assert code == 2 and "unknown config key: cache_limit" in err
 
 
+# Each kind form with every partition flag it needs, and the kind its
+# missing-partition error names.
+NEEDED_PARTITIONS = [
+    ("w1", ["--mu", "1"]),
+    ("w2", ["--mu1", "1", "--mu2", "1"]),
+    ("w3", ["--mu1", "1", "--mu2", "1", "--mu3", "1"]),
+    ("f", ["--mu1", "1", "--mu2", "1"]),
+    ("k", ["--mu1", "1", "--mu2", "1"]),
+    ("k", ["--mu1", "1", "--mu2", "1", "--transpose2"]),
+    ("multiset", ["--mu1", "1", "--mu2", "1"]),
+]
+
+
 def test_compute_missing_argument_exits_two(capsys):
-    code, _, err = run(capsys, "compute", "w1")
-    assert code == 2
+    cases = 0
+    for kind, argv in NEEDED_PARTITIONS:
+        for i, flag in enumerate(argv):
+            if not flag.startswith("--mu"):
+                continue
+            code, out, err = run(capsys, "compute", kind, *argv[:i], *argv[i + 2:])
+            assert (code, out, err) == (2, "", f"error: compute {kind} needs {flag}\n")
+            cases += 1
+    assert cases == 14
 
 
 def test_verify_large_mass_shift(capsys):
@@ -265,3 +285,49 @@ def test_cli_import_loads_no_pool_or_dataclass_machinery():
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+# One call from each pinned compute class, then calls on the defaults, with
+# the JSON params each records.
+JSON_PARAMS = [
+    ("w1 --mu 1,1", {"mu": [1, 1]}),
+    ("w1 --mu 1 --expand at_zero --order 6",
+     {"mu": [1], "expand": "at_zero", "order": 6}),
+    ("w1 --mu 1 --expand at_infinity --order 6",
+     {"mu": [1], "expand": "at_infinity", "order": 6}),
+    ("w2 --mu1 1 --mu2 3,1", {"mu1": [1], "mu2": [3, 1]}),
+    ("w2 --mu1 2 --mu2 1,1 --expand at_zero --order 6",
+     {"mu1": [2], "mu2": [1, 1], "expand": "at_zero", "order": 6}),
+    ("w3 --mu1 2,1 --mu2 2 --mu3 1", {"mu1": [2, 1], "mu2": [2], "mu3": [1]}),
+    ("w3 --mu1 1,1 --mu2 2 --mu3 1,1 --expand at_infinity --order 6",
+     {"mu1": [1, 1], "mu2": [2], "mu3": [1, 1], "expand": "at_infinity", "order": 6}),
+    ("f --mu1 4 --mu2 0", {"mu1": [4], "mu2": [], "transpose2": False}),
+    ("f --mu1 1 --mu2 1 --transpose2", {"mu1": [1], "mu2": [1], "transpose2": True}),
+    ("f --mu1 1,1 --mu2 1 --two-var",
+     {"mu1": [1, 1], "mu2": [1], "transpose2": False, "two_var": True}),
+    ("f --mu1 1 --mu2 3,1 --two-var --transpose2",
+     {"mu1": [1], "mu2": [3, 1], "transpose2": True, "two_var": True}),
+    ("k --mu1 0 --mu2 1,1 --qdeg 3",
+     {"mu1": [], "mu2": [1, 1], "transpose2": False, "qdeg": 3}),
+    ("k --mu1 2 --mu2 1,1 --transpose2", {"mu1": [2], "mu2": [1, 1], "transpose2": True}),
+    ("k --mu1 1 --mu2 2 --transpose2 --expand at_zero --order 3",
+     {"mu1": [1], "mu2": [2], "transpose2": True, "expand": "at_zero", "order": 3}),
+    ("z --m 0 --bdeg 1 --fdeg 2", {"m": 0, "bdeg": 1, "fdeg": 2}),
+    ("multiset --mu1 1 --mu2 2,1,1", {"mu1": [1], "mu2": [2, 1, 1]}),
+    ("z", {"m": 0, "bdeg": 2, "fdeg": 4}),
+    ("k --mu1 0 --mu2 0", {"mu1": [], "mu2": [], "transpose2": False, "qdeg": 4}),
+    ("w1 --mu 1 --expand at_zero", {"mu": [1], "expand": "at_zero", "order": 10}),
+    ("k --mu1 1 --mu2 0 --transpose2 --expand at_zero",
+     {"mu1": [1], "mu2": [], "transpose2": True, "expand": "at_zero", "order": 4}),
+]
+
+
+@pytest.mark.parametrize("call, params", JSON_PARAMS, ids=[c for c, _ in JSON_PARAMS])
+def test_compute_json_params(capsys, tmp_path, call, params):
+    path = tmp_path / "value.json"
+    code, _, _ = run(capsys, "compute", *call.split(), "--json", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert doc["kind"] == call.split()[0]
+    assert doc["params"] == params
+

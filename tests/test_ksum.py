@@ -13,7 +13,7 @@ from vertexcalc.ksum import (gauge_block, k00_chain_product, k00_chain_square,
                              verify_thm_k, verify_thm_kgen, verify_thm_kt)
 from vertexcalc.partitions import all_partitions, conjugate, partitions_of
 from vertexcalc.prodred import bracket
-from vertexcalc.nekrasov import _framed_pair_square
+from vertexcalc.nekrasov import _framed_pair_square, sun_tuple_identity
 from vertexcalc.series import (_HALF, LaurentFraction, LaurentPoly, MultiQSeries,
                                _digit0, _svec, expand_in_q, unpack)
 
@@ -236,3 +236,15 @@ def test_expansion_over_one_denominator_keeps_the_normal_forms():
             assert got.c[key].den == val.den, (fr, dims, key)
         calls += 1
     assert calls == 2 + 7 * 7 + 4 ** 3 + 8 + 4 ** 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ktilde_brute(((1,), (1,)), [1]),
+    lambda: k00_chain_product([1], 2),
+    lambda: kgen_closed(((1,), (1,)), [1]),
+    lambda: sun_tuple_identity(2, ((1,), (1,)), [1]),
+], ids=["ktilde_brute", "k00_chain_product", "kgen_closed", "sun_tuple_identity"])
+def test_list_dims_raise_type_error(call):
+    # dims must be a tuple of ints; no entry point coerces a list
+    with pytest.raises(TypeError):
+        call()

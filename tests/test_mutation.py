@@ -144,15 +144,15 @@ def test_sum_dropping_its_last_term_is_caught(mutate, tmp_path, capsys):
 
 
 def test_schur_background_sum_without_empty_shape_is_caught(mutate, tmp_path, capsys):
-    mutant = source_mutant(schur.schur_at_mu_rho, "if contains(eta, mu) and contains(eta, nu))",
-                           "if eta and contains(eta, mu) and contains(eta, nu))")
+    mutant = source_mutant(schur.schur_at_mu_rho, "for eta in common_subpartitions(mu, nu))",
+                           "for eta in common_subpartitions(mu, nu) if eta)")
     mutate(schur, "schur_at_mu_rho", mutant)
     assert tiny_failures("schur", tmp_path, capsys)[0] > 0
 
 
 def test_w3_sum_without_empty_shape_is_caught(mutate, tmp_path, capsys):
-    mutant = source_mutant(vertex.w3, "if contains(eta, mu1) and contains(eta, m3t))",
-                           "if eta and contains(eta, mu1) and contains(eta, m3t))")
+    mutant = source_mutant(vertex.w3, "for eta in common_subpartitions(mu1, m3t))",
+                           "for eta in common_subpartitions(mu1, m3t) if eta)")
     mutate(vertex, "w3", mutant)
     assert tiny_failures("vertex", tmp_path, capsys)[0] > 0
     # a looped check names the legs it failed at, then the witness

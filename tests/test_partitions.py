@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from vertexcalc.cli import partition_arg
 from vertexcalc.nekrasov import pair_layer, tuple_sweep
-from vertexcalc.partitions import (all_partitions, conjugate, contains,
+from vertexcalc.partitions import (all_partitions, common_subpartitions, conjugate, contains,
                                    contents, hooks, kappa,
                                    normalize, partitions_of,
                                    subpartitions, verify_hook_identity, weight)
@@ -83,6 +83,16 @@ def test_containment_and_subpartitions():
     assert not contains((1, 1), (3,))
     subs = set(subpartitions((2, 1)))
     assert subs == {(), (1,), (2,), (1, 1), (2, 1)}
+
+
+def test_common_subpartitions_keep_the_filtered_order():
+    # sums over the common shapes depend on this order for their bytes
+    parts = list(all_partitions(6))
+    for a in parts:
+        for b in parts:
+            old = [eta for eta in subpartitions(a if weight(a) <= weight(b) else b)
+                   if contains(eta, a) and contains(eta, b)]
+            assert list(common_subpartitions(a, b)) == old
 
 
 def test_hook_content_identity_small():
