@@ -6,29 +6,36 @@ coefficient function (exp form) or for the reduced exponent multiset
 (factored product form).  The transposed variant admits an exact sinh
 normal form on the half-power lattice (s = Q**(1/2), axis 1 and up),
 which is what the squared rank-N identities are built from.  The
-rank-N sinh side, sun_square_fraction, is the gauge route: every block
-is Nekrasov's pair factor gauge_block, built from arm and leg lengths
+rank-N sinh side is the gauge route: every block is Nekrasov's pair
+factor gauge_block, built from arm and leg lengths
 (prodred.nekrasov_multiset), so it shares no combinatorics with the
 closed side, which reads the row-pair multiset (prodred.pair_multiset).
 The rank-2 sinh side (the squared transposed pair) is its two-slot case,
 shifted by t**(-2 kappa(mu2)); it has no builder of its own.
 
+The closed and sinh sides of the rank-N identities factor over pairs of
+slots k < l: each pair contributes a one-variable series in the chain
+monomial Q_k ... Q_{l-1} (kgen_pair on the closed side, sun_pair_square
+on the sinh side), and ray_product places each on its ray of the Q box
+and multiplies them.
+The brute side, ktilde_brute, sums the chain one link at a time over
+the partial sums of chain_links.
+
 Everything here is exact: series coefficients are Laurent fractions in
 t, and the sinh-side equalities are fraction equalities, never truncated
 comparisons.
 
-The kgen and sun suites sweep the same chains, so each chain value is
-computed once per process: ktilde_brute (brute side), k00_chain_product
-(closed side of kgen), k00_chain_square and gauge_block (sinh side)
-are memoized like k_brute, keyed on their raw arguments, so every entry
-point takes mus as a tuple of canonical partition tuples and dims as a
-tuple; a list reaching a memo table is a TypeError.  The rank-2 sinh sides
-take their k00 square from k00_chain_square((trunc,), 2) too.
+The kgen and sun suites sweep the same chains, so the chain pieces are
+computed once per process: ktilde_brute and chain_links (brute side),
+kgen_pair (closed side), sun_pair_square, k00_square and gauge_block
+(sinh side), ray_keys and k_brute_square are memoized like k_brute,
+keyed on their raw arguments, so every entry point takes mus as a tuple
+of canonical partition tuples and dims as a tuple; a list reaching a
+memo table is a TypeError.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .fcoeff import c_coeffs, f_pair
@@ -39,10 +46,14 @@ from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
 from .vertex import w1, w2, w3
 
 _K00_CACHE: dict = {}
+_K00_SQUARE_CACHE: dict = {}
 _KB_CACHE: dict = {}
+_KBSQ_CACHE: dict = {}
 _KT_CACHE: dict = {}
-_K00P_CACHE: dict = {}
-_K00SQ_CACHE: dict = {}
+_LINK_CACHE: dict = {}
+_RAY_CACHE: dict = {}
+_KPAIR_CACHE: dict = {}
+_SPAIR_CACHE: dict = {}
 _GAUGE_CACHE: dict = {}
 
 
@@ -55,6 +66,13 @@ def k_brute(mu1, mu2, trunc: int) -> MultiQSeries:
     return MultiQSeries((trunc,), coeffs)
 
 
+@memo(_KBSQ_CACHE)
+def k_brute_square(mu1, mu2, trunc: int) -> MultiQSeries:
+    """k_brute squared: the brute side of every squared pair identity."""
+    kb = k_brute(mu1, mu2, trunc)
+    return kb * kb
+
+
 @memo(_K00_CACHE)
 def k00_closed(trunc: int) -> MultiQSeries:
     """Empty-pair series: exp of sum_n Q^n / (n (t^n - t^-n)^2)."""
@@ -62,6 +80,13 @@ def k00_closed(trunc: int) -> MultiQSeries:
     for n in range(1, trunc + 1):
         arg[(n,)] = (bracket(n) ** -2).scale(Fraction(1, n))
     return MultiQSeries((trunc,), arg).exp()
+
+
+@memo(_K00_SQUARE_CACHE)
+def k00_square(trunc: int) -> MultiQSeries:
+    """k00_closed squared: the k00 factor of every sinh pair series."""
+    k0 = k00_closed(trunc)
+    return k0 * k0
 
 
 def k_exp_closed(mu1, mu2, trunc: int) -> MultiQSeries:
@@ -132,10 +157,30 @@ def verify_cor_ik2_and_ksinh(mu1, mu2) -> bool:
 
 
 def verify_ksinh_series(mu1, mu2, trunc: int) -> bool:
-    """Squared brute series against the expanded four-block fraction."""
-    kb = k_brute(mu1, conjugate(mu2), trunc)
-    four = sun_square_fraction((mu1, mu2), 1).shift((-2 * kappa(mu2),))
-    return same(kb * kb, k00_chain_square((trunc,), 2) * expand_in_q_multi(four, (trunc,)))
+    """Squared brute series against the two-slot sinh side."""
+    mono = LaurentFraction.monomial(1, (-2 * kappa(mu2),))
+    return same(k_brute_square(mu1, conjugate(mu2), trunc),
+                sun_square_series((mu1, mu2), (trunc,)).scale(mono))
+
+
+@memo(_LINK_CACHE)
+def chain_links(mus, dims) -> dict:
+    """Partial chain sums over the first len(mus) links.
+
+    Maps (the weights of the middle partitions so far, the last of them)
+    to the sum, over the earlier middle partitions, of the product of
+    the link factors; middle partition j has weight at most dims[j].
+    Each call adds one link to the memoized sums of its prefix, so
+    chains that share their first slots share those sums.
+    """
+    if not mus:
+        return {((), ()): LaurentFraction.one()}
+    parts: dict = {}
+    for (ws, last), val in chain_links(mus[:-1], dims[:-1]).items():
+        for nu in all_partitions(dims[-1]):
+            link = w3(last, mus[-1], conjugate(nu)).shift((kappa(nu),))
+            parts.setdefault((ws + (weight(nu),), nu), []).append(val * link)
+    return {key: LaurentFraction.sum(ts) for key, ts in parts.items()}
 
 
 @memo(_KT_CACHE)
@@ -145,20 +190,14 @@ def ktilde_brute(mus, dims) -> MultiQSeries:
     mus has length N, dims has length N - 1 (one truncation per chain
     variable).  Each tuple contributes the product over the N links of
     t^kappa times the three-leg amplitude with the incoming partition,
-    the fixed leg, and the transposed outgoing partition.
+    the fixed leg, and the transposed outgoing partition; the last link
+    closes the chain on the empty partition.
     """
-    n = len(mus)
-    if len(dims) != n - 1:
+    if len(dims) != len(mus) - 1:
         raise ValueError("need one truncation per chain variable")
-    pools = [list(all_partitions(d)) for d in dims]
     terms: dict = {}
-    for nus in itertools.product(*pools):
-        chain = ((),) + nus + ((),)
-        term = LaurentFraction.one()
-        for k in range(1, n + 1):
-            nu = chain[k]
-            term = term * w3(chain[k - 1], mus[k - 1], conjugate(nu)).shift((kappa(nu),))
-        terms.setdefault(tuple(weight(nu) for nu in nus), []).append(term)
+    for (ws, last), val in chain_links(mus[:-1], dims).items():
+        terms.setdefault(ws, []).append(val * w3(last, mus[-1], ()))
     return MultiQSeries(dims, {key: LaurentFraction.sum(ts) for key, ts in terms.items()})
 
 
@@ -179,46 +218,46 @@ def _ray_key(k: int, l: int, val: int) -> tuple[int, ...]:
     return (0,) * k + (val,) * (l - k) if k < l else ()
 
 
-def k00_chain(dims, k: int, l: int) -> MultiQSeries:
-    """k00 evaluated at the product of the chain variables k..l-1."""
+@memo(_RAY_CACHE)
+def ray_keys(dims, k: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """Box keys of (Q_k ... Q_{l-1})**j, j = 0 .. min(dims[k-1:l-1]): j on axes k-1 .. l-2."""
     depth = min(dims[k - 1:l - 1])
-    base = k00_closed(depth)
-    cells = {}
-    for j in range(depth + 1):
-        key = tuple(j if k - 1 <= i <= l - 2 else 0 for i in range(len(dims)))
-        cells[key] = base.get((j,))
-    return MultiQSeries(dims, cells)
+    return tuple(tuple(j if k - 1 <= i <= l - 2 else 0 for i in range(len(dims)))
+                 for j in range(depth + 1))
 
 
-@memo(_K00P_CACHE)
-def k00_chain_product(dims, n: int) -> MultiQSeries:
-    out = MultiQSeries.one(dims)
+def ray_product(pair, mus, dims) -> MultiQSeries:
+    """Product over slots k < l of pair(mu_k, mu_l, depth) on the ray Q_k ... Q_{l-1}.
+
+    pair returns a one-variable series truncated at depth, the largest
+    power of the chain monomial inside the box.
+    """
+    out = None
+    n = len(mus)
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            out = out * k00_chain(dims, k, l)
-    return out
+            keys = ray_keys(dims, k, l)
+            s = pair(mus[k - 1], mus[l - 1], len(keys) - 1)
+            ray = MultiQSeries._of(dims, {keys[j]: v for (j,), v in s.c.items()})
+            out = ray if out is None else out * ray
+    return MultiQSeries.one(dims) if out is None else out
 
 
-@memo(_K00SQ_CACHE)
-def k00_chain_square(dims, n: int) -> MultiQSeries:
-    """k00_chain_product squared: the k00 factor of the squared rank-N sides."""
-    k0 = k00_chain_product(dims, n)
-    return k0 * k0
+@memo(_KPAIR_CACHE)
+def kgen_pair(mu, nu, depth: int) -> MultiQSeries:
+    """Closed pair factor of the chain series in one chain monomial:
+    k00 times the expanded reduced product over pair_multiset(mu, nu)."""
+    fr = product_over(pair_multiset(mu, nu), one_minus_qq)
+    return k00_closed(depth) * expand_in_q_multi(fr, (depth,))
 
 
 def kgen_closed(mus, dims) -> MultiQSeries:
-    """Closed form of the chain series: k00 chain factors times the
-    expanded product of per-slot amplitudes and pairwise reduced products."""
-    n = len(mus)
-    fr = LaurentFraction.one()
+    """Closed form of the chain series: the per-slot amplitudes times the
+    closed pair factor of every pair of slots on its ray."""
+    amp = LaurentFraction.one()
     for mu in mus:
-        fr = fr * w1(mu)
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            pm = pair_multiset(mus[k - 1], mus[l - 1])
-            sh = _ray_key(k, l, 2)
-            fr = fr * product_over(pm, lambda m, s=sh: one_minus_qq(m, s))
-    return k00_chain_product(dims, n) * expand_in_q_multi(fr, dims)
+        amp = amp * w1(mu)
+    return ray_product(kgen_pair, mus, dims).scale(amp)
 
 
 def verify_thm_kgen(mus, dims) -> bool:
@@ -230,41 +269,61 @@ def gauge_block(mu, nu, shift) -> LaurentFraction:
     """Nekrasov's pair factor: the sinh product over nekrasov_multiset(mu, nu).
 
     shift is the fraction exponent key the chain variables enter with,
-    trailing zeros trimmed; on the diagonal of sun_square_fraction it is
-    (), and the block is (-1)**|mu| times the inverse square of the sinh
-    factors of the hook lengths of mu.
+    trailing zeros trimmed; on the diagonal it is (), and the block is
+    (-1)**|mu| times the inverse square of the sinh factors of the hook
+    lengths of mu.
     """
     return product_over(nekrasov_multiset(mu, nu), lambda m: sinh_factor(m, shift))
+
+
+def _sun_scalar(mus) -> LaurentFraction:
+    """The Q-free part of the sinh side: the diagonal blocks, the sign
+    (-1)**(sum of weights), powers of 2 and t to the kappa ladder."""
+    n = len(mus)
+    wsum = sum(weight(m) for m in mus)
+    fr = LaurentFraction.one()
+    for mu in mus:
+        fr = fr * gauge_block(mu, mu, ())
+    ladder = -sum((n - 2 * k) * kappa(mus[k - 1]) for k in range(1, n + 1))
+    return fr.scale(Fraction((-1) ** wsum, 2 ** (2 * n * wsum))).shift((ladder,))
 
 
 def sun_square_fraction(mus, naxes: int) -> LaurentFraction:
     """Sinh-block fraction whose expansion matches the squared chain series.
 
-    The product over slots k <= l of Nekrasov's pair factor of mus[k-1]
-    and mus[l-1], shifted by the chain variables k..l-1 and squared off
-    the diagonal, times the monomial prefactor: powers of 2, the sign
-    (-1)**(sum of weights) of the diagonal blocks, t to the kappa ladder,
-    and negative powers of each chain variable.
+    The product over slots k < l of Nekrasov's pair factor of mus[k-1]
+    and mus[l-1], shifted by the chain variables k..l-1 and squared,
+    times _sun_scalar and negative powers of each chain variable.
     """
     n = len(mus)
-    wsum = sum(weight(m) for m in mus)
-    fr = LaurentFraction.one()
+    fr = _sun_scalar(mus)
     for k in range(1, n + 1):
-        for l in range(k, n + 1):
-            blk = gauge_block(mus[k - 1], mus[l - 1], _ray_key(k, l, 1))
-            fr = fr * (blk if k == l else blk ** 2)
+        for l in range(k + 1, n + 1):
+            fr = fr * gauge_block(mus[k - 1], mus[l - 1], _ray_key(k, l, 1)) ** 2
     shift = [0] * (naxes + 1)
-    shift[0] = -sum((n - 2 * k) * kappa(mus[k - 1]) for k in range(1, n + 1))
     for k in range(1, n):
         ek = ((n - k) * sum(weight(mus[i - 1]) for i in range(1, k + 1))
               + k * sum(weight(mus[i - 1]) for i in range(k + 1, n + 1)))
         shift[k] = -2 * ek
-    return fr.scale(Fraction((-1) ** wsum, 2 ** (2 * n * wsum))).shift(tuple(shift))
+    return fr.shift(tuple(shift))
+
+
+@memo(_SPAIR_CACHE)
+def sun_pair_square(mu, nu, depth: int) -> MultiQSeries:
+    """Sinh pair factor of the squared chain series in one chain monomial
+    x = s**2: k00 squared times the expanded square of gauge_block(mu, nu)
+    over x**(|mu| + |nu|)."""
+    blk = (gauge_block(mu, nu, (0, 1)) ** 2).shift((0, -2 * (weight(mu) + weight(nu))))
+    return k00_square(depth) * expand_in_q_multi(blk, (depth,))
+
+
+def sun_square_series(mus, dims) -> MultiQSeries:
+    """The sinh side of the squared chain series: _sun_scalar times the
+    sinh pair factor of every pair of slots on its ray."""
+    return ray_product(sun_pair_square, mus, dims).scale(_sun_scalar(mus))
 
 
 def verify_sun_squares(mus, dims) -> bool:
     """Squared chain series against the sinh-block normal form."""
     kt = ktilde_brute(mus, dims)
-    rhs = k00_chain_square(dims, len(mus)) * expand_in_q_multi(
-        sun_square_fraction(mus, len(dims)), dims)
-    return same(kt * kt, rhs)
+    return same(kt * kt, sun_square_series(mus, dims))

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ksum import k00_chain_square, k_brute, ktilde_brute, sun_square_fraction
+from .ksum import k_brute_square, ktilde_brute, sun_square_series
 from .partitions import all_partitions, conjugate, kappa, partitions_of, weight
-from .series import LaurentFraction, MultiQSeries, expand_in_q_multi, memo, same
+from .series import LaurentFraction, MultiQSeries, memo, same
 
 _FPS_CACHE: dict = {}
 
@@ -43,8 +43,7 @@ def _framed_pair_square(mu1, mu2, m: int, fdeg: int) -> MultiQSeries:
 
     Memoized: z_su2 and the termwise side of verify_su2 both build it.
     """
-    ks = k_brute(mu1, conjugate(mu2), fdeg)
-    ks = ks * ks
+    ks = k_brute_square(mu1, conjugate(mu2), fdeg)
     if m:
         w = weight(mu1) + weight(mu2)
         sgn = (-1) ** (m * w)
@@ -64,26 +63,21 @@ def z_su2(m: int, bdeg: int, fdeg: int) -> MultiQSeries:
     return MultiQSeries((bdeg, fdeg), {key: LaurentFraction.sum(ts) for key, ts in terms.items()})
 
 
-def z_su2_sinh_term(mu1, mu2, m: int) -> LaurentFraction:
-    """Sinh normal form of one framed base/fiber term, divided by k00**2.
-
-    Axis 0 is t, axis 1 is the fiber half-power s.  The base variable is
-    implicit: the term sits at base degree |mu1| + |mu2|.
-    """
-    sgn = (-1) ** (m * (weight(mu1) + weight(mu2)))
-    four = sun_square_fraction((mu1, mu2), 1).shift((-2 * kappa(mu2),))
-    return four.scale(sgn).shift((-m * (kappa(mu1) + kappa(mu2)), 2 * m * weight(mu2)))
-
-
 def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
-    """Termwise sinh identity, then the graded aggregate."""
-    k0sq = k00_chain_square((fdeg,), 2)
+    """Termwise sinh identity, then the graded aggregate.
+
+    The sinh side of one term is the two-slot sun_square_series with the
+    framing twist: a sign, t**(-2 kappa(mu2) - m (kappa(mu1) + kappa(mu2)))
+    and the fiber variable to the power m |mu2|.
+    """
     agg = {b: MultiQSeries((fdeg,)) for b in range(bdeg + 1)}
     for mu1, mu2 in tuple_sweep(2, bdeg):
-        lhs = _framed_pair_square(mu1, mu2, m, fdeg)
-        rhs = k0sq * expand_in_q_multi(z_su2_sinh_term(mu1, mu2, m), (fdeg,))
-        same(lhs, rhs)
         b = weight(mu1) + weight(mu2)
+        lhs = _framed_pair_square(mu1, mu2, m, fdeg)
+        tw = LaurentFraction.monomial((-1) ** (m * b),
+                                      (-2 * kappa(mu2) - m * (kappa(mu1) + kappa(mu2)),))
+        rhs = sun_square_series((mu1, mu2), (fdeg,)).scale(tw).shift((m * weight(mu2),))
+        same(lhs, rhs)
         agg[b] = agg[b] + rhs
     z = z_su2(m, bdeg, fdeg)
     for b in range(bdeg + 1):
@@ -98,10 +92,8 @@ def verify_fiber_swap(bdeg: int, fdeg: int) -> bool:
         plain = MultiQSeries((fdeg,))
         swapped = MultiQSeries((fdeg,))
         for mu1, mu2 in pair_layer(b):
-            p = k_brute(mu1, mu2, fdeg)
-            s = k_brute(mu1, conjugate(mu2), fdeg)
-            plain = plain + p * p
-            swapped = swapped + s * s
+            plain = plain + k_brute_square(mu1, mu2, fdeg)
+            swapped = swapped + k_brute_square(mu1, conjugate(mu2), fdeg)
         same(plain, swapped)
     return True
 
@@ -147,9 +139,7 @@ def sun_tuple_identity(n: int, mus, dims) -> bool:
     framing = sun_framing(n, n - 2, mus) * sun_framing(n, 0, mus)
     kt = ktilde_brute(mus, dims)
     lhs = (kt * kt).scale(framing)
-    fr = sun_square_fraction(mus, len(dims)) * framing
-    rhs = k00_chain_square(dims, n) * expand_in_q_multi(fr, dims)
-    return same(lhs, rhs)
+    return same(lhs, sun_square_series(mus, dims).scale(framing))
 
 
 def sun_phi_model(n: int, mus) -> LaurentFraction:
@@ -170,5 +160,4 @@ def verify_sun_pair_consistency(mu1, mu2, trunc: int) -> bool:
     kt = ktilde_brute((mu1, mu2), (trunc,))
     m0 = LaurentFraction.monomial(1, (-2 * kappa(mu2),))
     lhs = (kt * kt).scale(m0)
-    kb = k_brute(mu1, conjugate(mu2), trunc)
-    return same(lhs, kb * kb)
+    return same(lhs, k_brute_square(mu1, conjugate(mu2), trunc))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -5,15 +6,18 @@ from fractions import Fraction
 import pytest
 
 from vertexcalc import ksum, prodred, series
-from vertexcalc.ksum import (gauge_block, k00_chain_product, k00_chain_square,
-                             k00_closed, k_brute, k_transposed_rational,
-                             kgen_closed, ktilde_brute, sun_square_fraction,
+from vertexcalc.ksum import (chain_links, gauge_block, k00_closed, k00_square,
+                             k_brute, k_brute_square, k_transposed_rational,
+                             kgen_closed, kgen_pair, ktilde_brute, ray_keys,
+                             ray_product, sun_pair_square, sun_square_fraction,
+                             sun_square_series,
                              verify_cor_ik2_and_ksinh, verify_ksinh_series,
                              verify_ktilde_pair_reduction, verify_sun_squares,
                              verify_thm_k, verify_thm_kgen, verify_thm_kt)
-from vertexcalc.partitions import all_partitions, conjugate, partitions_of
-from vertexcalc.prodred import bracket
-from vertexcalc.nekrasov import _framed_pair_square, sun_tuple_identity
+from vertexcalc.partitions import all_partitions, conjugate, kappa, partitions_of, weight
+from vertexcalc.prodred import bracket, one_minus_qq, pair_multiset, product_over
+from vertexcalc.nekrasov import _framed_pair_square, sun_tuple_identity, tuple_sweep
+from vertexcalc.vertex import w1, w3
 from vertexcalc.series import (_HALF, LaurentFraction, LaurentPoly, MultiQSeries,
                                _digit0, _svec, expand_in_q, unpack)
 
@@ -87,6 +91,59 @@ def test_chain_value_matches_closed_everywhere_in_box():
         assert kt.get((d,)) == kc.get((d,))
 
 
+def _k00_chain_reference(dims, n):
+    """The earlier k00 chain product: k00_closed at the product of the
+    chain variables k..l-1, multiplied over the slot pairs k < l."""
+    out = MultiQSeries.one(dims)
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            depth = min(dims[k - 1:l - 1])
+            base = k00_closed(depth)
+            cells = {tuple(j if k - 1 <= i <= l - 2 else 0 for i in range(len(dims))):
+                     base.get((j,)) for j in range(depth + 1)}
+            out = out * MultiQSeries(dims, cells)
+    return out
+
+
+def _kgen_fraction(mus):
+    """The earlier closed side as one N-slot fraction: the per-slot
+    amplitudes and every pair's reduced product on Q_k ... Q_{l-1}."""
+    n = len(mus)
+    fr = LaurentFraction.one()
+    for mu in mus:
+        fr = fr * w1(mu)
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            sh = (0,) * k + (2,) * (l - k)
+            fr = fr * product_over(pair_multiset(mus[k - 1], mus[l - 1]),
+                                   lambda m, s=sh: one_minus_qq(m, s))
+    return fr
+
+
+def _brute_reference(mus, dims):
+    """The earlier brute side: every middle-partition tuple enumerated whole."""
+    terms = {}
+    for nus in itertools.product(*(all_partitions(d) for d in dims)):
+        chain = ((),) + nus + ((),)
+        term = LaurentFraction.one()
+        for k in range(1, len(mus) + 1):
+            nu = chain[k]
+            term = term * w3(chain[k - 1], mus[k - 1], conjugate(nu)).shift((kappa(nu),))
+        terms.setdefault(tuple(weight(nu) for nu in nus), []).append(term)
+    return MultiQSeries(dims, {key: LaurentFraction.sum(ts) for key, ts in terms.items()})
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 1), (1, 2), (2, 1, 1)], ids=str)
+def test_chain_sides_match_the_slot_fractions_and_the_full_enumeration(dims):
+    k0 = _k00_chain_reference(dims, len(dims) + 1)
+    for mus in tuple_sweep(len(dims) + 1, 2):
+        assert ktilde_brute(mus, dims) == _brute_reference(mus, dims)
+        closed = k0 * series.expand_in_q_multi(_kgen_fraction(mus), dims)
+        assert kgen_closed(mus, dims) == closed
+        sinh = (k0 * k0) * series.expand_in_q_multi(sun_square_fraction(mus, len(dims)), dims)
+        assert sun_square_series(mus, dims) == sinh
+
+
 def test_squared_chain_fraction_two_slots():
     pairs = [((), ()), ((1,), ()), ((1,), (1,)), ((2,), (1,))]
     for mus in pairs:
@@ -106,7 +163,20 @@ def test_sinh_side_does_not_read_the_row_pair_multiset(monkeypatch):
     monkeypatch.setattr(ksum, "pair_multiset", refuse)
     monkeypatch.setattr(prodred, "pair_multiset", refuse)
     ksum._GAUGE_CACHE.clear()
+    ksum._SPAIR_CACHE.clear()
     assert verify_sun_squares(((1,), (1,), ()), (2, 2))
+
+
+def test_closed_and_brute_sides_do_not_read_the_gauge_route(monkeypatch):
+    # kgen_closed reads the row-pair multiset, ktilde_brute the w3 links
+    def refuse(*args):
+        raise AssertionError("a kgen side read the gauge route")
+
+    monkeypatch.setattr(ksum, "nekrasov_multiset", refuse)
+    monkeypatch.setattr(ksum, "gauge_block", refuse)
+    for table in (ksum._KT_CACHE, ksum._LINK_CACHE, ksum._KPAIR_CACHE):
+        table.clear()
+    assert verify_thm_kgen(((1,), (1,), ()), (2, 2))
 
 
 def test_square_fraction_empty_is_one():
@@ -116,8 +186,12 @@ def test_square_fraction_empty_is_one():
 
 CHAIN_MEMOS = [
     (ktilde_brute, "_KT_CACHE", (((1,), (), (1,)), (1, 1))),
-    (k00_chain_product, "_K00P_CACHE", ((2, 1), 3)),
-    (k00_chain_square, "_K00SQ_CACHE", ((2, 1), 3)),
+    (chain_links, "_LINK_CACHE", (((1,), ()), (1, 1))),
+    (kgen_pair, "_KPAIR_CACHE", ((2, 1), (1,), 2)),
+    (sun_pair_square, "_SPAIR_CACHE", ((2, 1), (1,), 2)),
+    (ray_keys, "_RAY_CACHE", ((2, 1), 1, 3)),
+    (k_brute_square, "_KBSQ_CACHE", ((1,), (2,), 2)),
+    (k00_square, "_K00_SQUARE_CACHE", (3,)),
     (gauge_block, "_GAUGE_CACHE", ((2, 1), (1,), (0, 1, 0))),
     (_framed_pair_square, "_FPS_CACHE", ((1,), (1,), 1, 2)),
 ]
@@ -180,27 +254,6 @@ def _expand_per_cell(fr, dims):
     return MultiQSeries(tuple(dims), out)
 
 
-def _kgen_closed_fractions():
-    seen = []
-
-    def record(fr, dims):
-        seen.append((fr, tuple(dims)))
-        return series.expand_in_q_multi(fr, dims)
-
-    rank3 = [(a, b, c) for a in all_partitions(2) for b in all_partitions(2)
-             for c in all_partitions(2)]
-    mp = pytest.MonkeyPatch()
-    mp.setattr(ksum, "expand_in_q_multi", record)
-    try:
-        for mus in small_pairs(2):
-            kgen_closed(mus, (3,))
-        for mus in rank3:
-            kgen_closed(mus, (2, 2))
-    finally:
-        mp.undo()
-    return seen
-
-
 def _cancelling_fractions():
     """Fractions with output cells that share a pure-t factor with the
     denominator, before and after a binomial is expanded; no fraction of
@@ -218,7 +271,8 @@ def _expansion_sweep():
     parts2 = list(all_partitions(2))
     yield from ((sun_square_fraction((a, b, c), 2), (2, 2))
                 for a in parts2 for b in parts2 for c in parts2)
-    yield from _kgen_closed_fractions()
+    yield from ((_kgen_fraction(mus), (3,)) for mus in small_pairs(2))
+    yield from ((_kgen_fraction(mus), (2, 2)) for mus in itertools.product(parts2, repeat=3))
 
 
 def test_expansion_over_one_denominator_keeps_the_normal_forms():
@@ -240,10 +294,12 @@ def test_expansion_over_one_denominator_keeps_the_normal_forms():
 
 @pytest.mark.parametrize("call", [
     lambda: ktilde_brute(((1,), (1,)), [1]),
-    lambda: k00_chain_product([1], 2),
+    lambda: ray_product(kgen_pair, ((1,), (1,)), [1]),
     lambda: kgen_closed(((1,), (1,)), [1]),
+    lambda: sun_square_series(((1,), (1,)), [1]),
     lambda: sun_tuple_identity(2, ((1,), (1,)), [1]),
-], ids=["ktilde_brute", "k00_chain_product", "kgen_closed", "sun_tuple_identity"])
+], ids=["ktilde_brute", "ray_product", "kgen_closed", "sun_square_series",
+        "sun_tuple_identity"])
 def test_list_dims_raise_type_error(call):
     # dims must be a tuple of ints; no entry point coerces a list
     with pytest.raises(TypeError):

@@ -215,7 +215,16 @@ def test_skew_schur_letters_on_the_wrong_axes_are_caught(mutate, tmp_path, capsy
 
 
 def test_ktilde_brute_missing_a_chain_tuple_is_caught(mutate, tmp_path, capsys):
-    mutant = source_mutant(ksum.ktilde_brute, "for nus in itertools.product(*pools):",
-                           "for nus in list(itertools.product(*pools))[:-1]:")
-    mutate(ksum, "ktilde_brute", mutant)
+    # each link of the chain sum skips the last middle partition of its pool
+    mutant = source_mutant(ksum.chain_links, "for nu in all_partitions(dims[-1]):",
+                           "for nu in list(all_partitions(dims[-1]))[:-1]:")
+    mutate(ksum, "chain_links", mutant)
     assert tiny_failures("kgen", tmp_path, capsys)[0] > 0
+
+
+def test_pair_series_placed_one_axis_short_of_its_ray_is_caught(mutate, tmp_path, capsys):
+    # the chain monomial Q_k ... Q_{l-1} loses its last variable
+    mutant = source_mutant(ksum.ray_keys, "k - 1 <= i <= l - 2", "k - 1 <= i <= l - 3")
+    mutate(ksum, "ray_keys", mutant)
+    assert tiny_failures("kgen", tmp_path, capsys)[0] > 0
+    assert tiny_failures("sun", tmp_path, capsys)[0] > 0
