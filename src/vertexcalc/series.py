@@ -37,6 +37,15 @@ cannot divide a numerator whose coefficients do not sum to 0; that division
 is not attempted, since it could only fail, and the result is the same.
 LaurentFraction.sum brings many terms over one lcm and reduces once, and
 a + b is its two-term case.
+Scaling by a number, and a product with a one-term polynomial, keep int
+coefficients in ints: an int v times p/q is (v * p) // q when q divides
+v * p, and a Fraction only when it does not, so a scalar such as 1/2**k
+costs no Fraction arithmetic on an int coefficient.  a / b by a divisor
+whose numerator is one term, c * X**k / D, works on the factor
+multisets: D's factors are taken off a's denominator, and only those a
+lacks are expanded into the numerator before one reduction.  That
+normal form may differ from the one a * b.inv() reaches, so a value
+that is rendered is built with * inv(), not with /.
 MultiQSeries squares by symmetry: x * x forms each unordered pair of keys
 once and doubles the off-diagonal products.
 
@@ -127,6 +136,31 @@ def _normval(v):
     if type(v) is Fraction and v.denominator == 1:
         return v.numerator
     return v
+
+
+def _scaled(t: dict, c, x: int = 0) -> dict:
+    """The terms of t times the nonzero number c, each key shifted by x.
+
+    Values, value types and key order are those of
+    {k + x: _normval(v * c) for k, v in t.items()}, but an int value times
+    c = p/q stays in ints: n = v * p is n // q when q divides it and
+    Fraction(n, q) only when it does not.  A Fraction c with denominator 1
+    acts as its int.
+    """
+    if type(c) is Fraction:
+        p, q = c.numerator, c.denominator
+    else:
+        p, q = c, 1
+    if q == 1:
+        return {k + x: v * p if type(v) is int else _normval(v * p) for k, v in t.items()}
+    out = {}
+    for k, v in t.items():
+        if type(v) is int:
+            n = v * p
+            out[k + x] = Fraction(n, q) if n % q else n // q
+        else:
+            out[k + x] = _normval(v * c)
+    return out
 
 
 class LaurentPoly:
@@ -235,6 +269,10 @@ class LaurentPoly:
             return NotImplemented
         if len(self._t) < len(o._t):
             self, o = o, self
+        if len(o._t) == 1:
+            # one term: no two products share a key, so none cancels
+            (k2, v2), = o._t.items()
+            return LaurentPoly._of(_scaled(self._t, v2, k2))
         out: dict = {}
         for k2, v2 in o._t.items():
             for k1, v1 in self._t.items():
@@ -267,7 +305,7 @@ class LaurentPoly:
     def scale(self, c):
         if not c:
             return LaurentPoly.zero()
-        return LaurentPoly._of({k: _normval(v * c) for k, v in self._t.items()})
+        return LaurentPoly._of(_scaled(self._t, c))
 
     def shift(self, key):
         """Multiply by the monomial with the given exponent tuple."""
@@ -576,10 +614,29 @@ class LaurentFraction:
         return LaurentFraction.ratio(_den_expand(self.den), self.num)
 
     def __truediv__(self, other):
+        """self / other; a divisor c * X**k / D is divided in factored form:
+        D's factors are taken off self's, and only those self lacks are
+        expanded into the numerator, shifted and scaled by 1 / (c * X**k)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        if len(o.num._t) != 1:
+            return self * o.inv()
+        (k, c), = o.num._t.items()
+        den = dict(self.den)
+        rest = {}
+        for f, e in o.den.items():
+            left = den.get(f, 0) - e
+            if left > 0:
+                den[f] = left
+            else:
+                den.pop(f, None)
+                if left:
+                    rest[f] = -left
+        num = LaurentPoly._of(_scaled(self.num._t, Fraction(1) / c, -k))
+        if rest:
+            num = num * _den_expand(rest)
+        return LaurentFraction._make(num, den)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

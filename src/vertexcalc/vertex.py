@@ -5,6 +5,13 @@ Every amplitude has two independently coded routes (hook products against
 bracket ratios for one leg, background specialization against skew sums for
 two and three legs); the test suite pins the routes against each other and
 against the degeneration and symmetry laws.
+
+The definition route w3_def memoizes each glue sum
+sum_rho c^lam_{eta rho} w2(leg, rho) on (leg, lam, eta), since one sum
+serves every third leg, and divides by w1 of the middle leg in factored
+form (LaurentFraction's /), so w1's hook denominator is cancelled against
+the glued fraction's factors instead of being expanded and divided back
+out.  The skew route w3 uses neither.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .series import LaurentFraction, memo, same
 _W1_CACHE: dict = {}
 _W2_CACHE: dict = {}
 _W3_CACHE: dict = {}
+_GLUE_CACHE: dict = {}
 
 
 @memo(_W1_CACHE)
@@ -67,16 +75,18 @@ def w3(mu1, mu2, mu3) -> LaurentFraction:
     return out.scale((-1) ** weight(mu2)).shift((kappa(mu3),))
 
 
+@memo(_GLUE_CACHE)
+def _glue(leg, lam, eta) -> LaurentFraction:
+    """sum over rho of c^lam_{eta rho} w2(leg, rho), one side of a w3_def term."""
+    return LaurentFraction.sum(w2(leg, rho).scale(c) for rho, c in lr_coeffs(lam, eta).items())
+
+
 def w3_def(mu1, mu2, mu3) -> LaurentFraction:
     """Definition route: glue two-leg amplitudes along shared shapes."""
     m2t = conjugate(mu2)
     m3t = conjugate(mu3)
-    terms = []
-    for eta in common_subpartitions(mu1, m3t):
-        left = LaurentFraction.sum(w2(m2t, rho).scale(c) for rho, c in lr_coeffs(mu1, eta).items())
-        right = LaurentFraction.sum(w2(mu2, sig).scale(c) for sig, c in lr_coeffs(m3t, eta).items())
-        terms.append(left * right)
-    out = LaurentFraction.sum(terms) * w1(mu2).inv()
+    out = LaurentFraction.sum(_glue(m2t, mu1, eta) * _glue(mu2, m3t, eta)
+                              for eta in common_subpartitions(mu1, m3t)) / w1(mu2)
     return out.shift((kappa(mu2) + kappa(mu3),))
 
 

@@ -2,7 +2,9 @@
 
 A verify_* function, sun_tuple_identity or a function nested in a suite_*
 builder that returned a bare comparison or False would fail without
-naming where its two sides differ, so none may.
+naming where its two sides differ, so none may.  Every memo table is a
+module-level dict named *_CACHE, the suffix by which the mutation tests
+clear them.
 """
 
 import ast
@@ -85,4 +87,42 @@ def test_only_the_edges_call_normalize():
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 if name == "normalize":
                     offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def module_dicts(tree) -> set:
+    """Names bound to a dict display at the top level of a module."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets, value = [node.target], node.value
+        elif isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        else:
+            continue
+        if isinstance(value, ast.Dict):
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def test_memo_tables_are_module_dicts_named_cache():
+    # tests/test_mutation.py empties every *_CACHE dict between mutants, so
+    # a table by another name would carry a mutant's values into the next test
+    tables, offenders = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        dicts = module_dicts(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                if not (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+                        and dec.func.id == "memo"):
+                    continue
+                tables += 1
+                arg = dec.args[0] if len(dec.args) == 1 and not dec.keywords else None
+                name = arg.id if isinstance(arg, ast.Name) else None
+                if not (name and name.endswith("_CACHE") and name in dicts):
+                    offenders.append(f"{path.name}:{node.name}")
+    assert tables >= 20
     assert offenders == []

@@ -123,6 +123,26 @@ def test_division_skipped_when_numerator_vanishes_at_one_is_caught(mutate, capsy
     assert compute_pin_drift(capsys) is not None
 
 
+def test_scaling_that_always_divides_exactly_is_caught(mutate, tmp_path, capsys):
+    # an int times p/q floor-divided by q when q does not divide it; no
+    # pinned compute call scales an int by such a p/q, but k00's 1/n
+    # coefficients and the sinh scalar 1/2**(2NW) do
+    mutant = source_mutant(series._scaled, "Fraction(n, q) if n % q else n // q", "n // q")
+    mutate(series, "_scaled", mutant)
+    assert tiny_failures("k", tmp_path, capsys)[0] > 0
+    assert tiny_failures("sun", tmp_path, capsys)[0] > 0
+
+
+def test_division_keeping_the_divisor_factors_is_caught(mutate, tmp_path, capsys):
+    # the divisor's denominator factors are not taken off the dividend's
+    mutant = source_mutant(series.LaurentFraction.__truediv__,
+                           "left = den.get(f, 0) - e", "left = den.get(f, 0)")
+    mutate(series.LaurentFraction, "__truediv__", mutant)
+    assert tiny_failures("vertex", tmp_path, capsys)[0] > 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert "three-leg-routes" in {e["id"] for e in doc["entries"] if e["status"] == "fail"}
+
+
 def test_kappa_off_by_one_is_caught(mutate, tmp_path, capsys):
     kappa = partitions.kappa
     mutate(partitions, "kappa", lambda mu: kappa(mu) + 1)

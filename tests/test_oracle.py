@@ -154,6 +154,42 @@ def test_inverse_and_substitutions_match_sympy(a):
         assert same(fa.inv(), reference(a)[::-1])
 
 
+@st.composite
+def division_cases(draw, naxes=2):
+    """(dividend case, divisor) with the divisor (c, k, factors) = c * X**k / R.
+
+    R is a product over factors (b, j, m, d): the binomial (1 + b*X**j)**m,
+    expanded as one factor, to the power d.  Each of the dividend's own
+    denominator factors is drawn 0 times, fewer times than it has, as often
+    or more often; fresh binomials are mostly absent from the dividend, so
+    they reach the expansion of the factors it lacks.
+    """
+    case = draw(cases(naxes))
+    fs = []
+    for b, j, e, whole in case[2]:
+        m, have = (e, 1) if whole else (1, e)
+        fs.append((b, j, m, draw(st.integers(0, have + 1))))
+    fs += [(b, j, 1, draw(st.integers(1, 2))) for b, j in draw(st.lists(binomials(naxes), max_size=2))]
+    c = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]))
+    k = draw(st.tuples(*[st.integers(-2, 2)] * naxes))
+    return case, (c, k, fs)
+
+
+@given(division_cases())
+@settings(max_examples=60, deadline=None)
+def test_division_by_a_one_term_numerator_matches_sympy(dc):
+    a, (c, k, fs) = dc
+    divisor = LaurentFraction.monomial(c, k)
+    for b, j, m, d in fs:
+        divisor = divisor * LaurentFraction.from_poly(LaurentPoly({(): 1, j: b}) ** m).inv() ** d
+    assert len(divisor.num._t) == 1
+    fa = kernel(a)
+    p, q = reference(a)
+    r = lmul(*(lpow(binomial(b, j), m * d) for b, j, m, d in fs))
+    assert same(fa / divisor, (lmul(p, r), lmul(q, laurent({k: c}))))
+    assert fa / divisor == fa * divisor.inv()
+
+
 def series_coeffs(expr, deg: int) -> dict:
     out = {}
     for term in sp.Add.make_args(sp.expand(sp.series(expr, T, 0, deg + 1).removeO())):

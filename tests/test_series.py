@@ -49,6 +49,61 @@ def test_poly_commutative_ring(a, b):
     assert (a + b).invert_vars() == a.invert_vars() + b.invert_vars()
 
 
+def nonzero_numbers():
+    """Ints, some divisible by a large power of two, and Fractions that are not ints."""
+    return st.one_of(st.integers(-9, 9).filter(bool),
+                     st.integers(-9, 9).filter(bool).map(lambda v: v << 20),
+                     st.fractions(max_denominator=12).filter(lambda f: f.denominator > 1))
+
+
+def scalars():
+    """Nonzero scalars: +-1 as ints and Fractions, +-2**-k and other p/q."""
+    return st.one_of(st.sampled_from([1, -1, Fraction(1), Fraction(-1), 6]),
+                     st.builds(lambda s, k: Fraction(s, 2 ** k),
+                               st.sampled_from([1, -1]), st.integers(0, 24)),
+                     st.fractions(max_denominator=30).filter(bool))
+
+
+def term_dicts(min_size=0):
+    return st.dictionaries(st.integers(-20, 20), nonzero_numbers(), min_size=min_size, max_size=5)
+
+
+def typed(items):
+    return [(k, type(v), v) for k, v in items]
+
+
+@given(term_dicts(), scalars(), st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_integer_scaling_matches_fraction_products(t, c, x):
+    got = series._scaled(t, c, x)
+    want = {k + x: series._normval(v * c) for k, v in t.items()}
+    assert typed(got.items()) == typed(want.items())
+
+
+def general_product(a, b):
+    """LaurentPoly.__mul__'s loop over every pair of terms, as (key, value) pairs."""
+    out: dict = {}
+    for k2, v2 in b._t.items():
+        for k1, v1 in a._t.items():
+            kk = k1 + k2
+            w = out.get(kk, 0) + v1 * v2
+            if w:
+                out[kk] = w
+            else:
+                del out[kk]
+    return [(k, series._normval(v)) for k, v in out.items()]
+
+
+@given(term_dicts(min_size=1), scalars(), st.integers(-5, 5))
+@settings(max_examples=100, deadline=None)
+def test_one_term_product_matches_the_general_loop(t, c, x):
+    p = LaurentPoly._of({k: series._normval(v) for k, v in t.items()})
+    m = LaurentPoly._of({x: series._normval(c)})
+    want = typed(general_product(p, m))
+    assert typed((p * m)._t.items()) == want
+    assert typed((m * p)._t.items()) == want
+
+
 def trim(key):
     k = list(key)
     while k and k[-1] == 0:
