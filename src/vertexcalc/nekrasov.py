@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .ksum import k_brute_square, ktilde_brute, sun_square_series
 from .partitions import all_partitions, conjugate, kappa, partitions_of, weight
-from .series import LaurentFraction, MultiQSeries, memo, same
+from .series import LaurentFraction, MultiQSeries, Product, memo, same
 
 _FPS_CACHE: dict = {}
 
@@ -138,8 +138,7 @@ def sun_tuple_identity(n: int, mus, dims) -> bool:
     """Framed squared chain series of one tuple against its normal form."""
     framing = sun_framing(n, n - 2, mus) * sun_framing(n, 0, mus)
     kt = ktilde_brute(mus, dims)
-    lhs = (kt * kt).scale(framing)
-    return same(lhs, sun_square_series(mus, dims).scale(framing))
+    return same(Product(kt, kt, scalar=framing), sun_square_series(mus, dims).scale(framing))
 
 
 def sun_phi_model(n: int, mus) -> LaurentFraction:
@@ -159,5 +158,4 @@ def verify_sun_pair_consistency(mu1, mu2, trunc: int) -> bool:
     """At rank 2 the framed chain square is the plain pair square."""
     kt = ktilde_brute((mu1, mu2), (trunc,))
     m0 = LaurentFraction.monomial(1, (-2 * kappa(mu2),))
-    lhs = (kt * kt).scale(m0)
-    return same(lhs, k_brute_square(mu1, conjugate(mu2), trunc))
+    return same(Product(kt, kt, scalar=m0), k_brute_square(mu1, conjugate(mu2), trunc))

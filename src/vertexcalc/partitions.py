@@ -4,6 +4,9 @@ Partitions are plain tuples of weakly decreasing positive ints; the empty
 partition is ().  Every function of the package takes partitions in this
 canonical form and does not re-check it: the sweeps here yield canonical
 tuples, and normalize canonicalizes any other input at the caller's edge.
+The sweeps partitions_of, subpartitions and common_subpartitions, and
+conjugate, are memoized: each returns one stored tuple per argument
+tuple, so the amplitude layers re-run no enumeration.
 All row/column indices in formulas below are 1-based to
 match the usual conventions, while the code iterates 0-based.
 """
@@ -13,7 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
-from .series import LaurentPoly, same
+from .series import LaurentPoly, memo, same
+
+_CONJ_CACHE: dict = {}
+_PARTS_CACHE: dict = {}
+_SUB_CACHE: dict = {}
+_COMMON_SUB_CACHE: dict = {}
 
 
 def normalize(mu: Iterable[int]) -> tuple[int, ...]:
@@ -33,6 +41,7 @@ def weight(mu) -> int:
     return sum(mu)
 
 
+@memo(_CONJ_CACHE)
 def conjugate(mu) -> tuple[int, ...]:
     if not mu:
         return ()
@@ -64,16 +73,15 @@ def hooks(mu) -> list[int]:
     return out
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n in descending lexicographic order."""
+@memo(_PARTS_CACHE)
+def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n with parts at most max_part, in descending lexicographic order."""
     if max_part is None or max_part > n:
         max_part = n
     if n == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+        return ((),)
+    return tuple((first,) + rest for first in range(max_part, 0, -1)
+                 for rest in partitions_of(n - first, first))
 
 
 def all_partitions(max_weight: int) -> Iterator[tuple[int, ...]]:
@@ -89,17 +97,17 @@ def contains(eta, mu) -> bool:
     return all(e <= m for e, m in zip(eta, mu))
 
 
-def subpartitions(mu) -> Iterator[tuple[int, ...]]:
-    for eta in all_partitions(weight(mu)):
-        if contains(eta, mu):
-            yield eta
+@memo(_SUB_CACHE)
+def subpartitions(mu) -> tuple[tuple[int, ...], ...]:
+    """Partitions inside mu, weight-major."""
+    return tuple(eta for eta in all_partitions(weight(mu)) if contains(eta, mu))
 
 
-def common_subpartitions(a, b) -> Iterator[tuple[int, ...]]:
-    """Partitions inside both a and b, weight-major as subpartitions yields them."""
-    for eta in subpartitions(a if weight(a) <= weight(b) else b):
-        if contains(eta, a) and contains(eta, b):
-            yield eta
+@memo(_COMMON_SUB_CACHE)
+def common_subpartitions(a, b) -> tuple[tuple[int, ...], ...]:
+    """Partitions inside both a and b, weight-major as subpartitions lists them."""
+    return tuple(eta for eta in subpartitions(a if weight(a) <= weight(b) else b)
+                 if contains(eta, a) and contains(eta, b))
 
 
 def hook_pair_sum_sides(mu, n: int) -> tuple[LaurentPoly, LaurentPoly]:

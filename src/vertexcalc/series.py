@@ -49,11 +49,31 @@ that is rendered is built with * inv(), not with /.
 MultiQSeries squares by symmetry: x * x forms each unordered pair of keys
 once and doubles the off-diagonal products.
 
+Canonical factors are interned: _canonical_parts and LaurentFraction's
+constructor hand out one shared object per factor value, so a factor
+multiset finds a factor by identity instead of comparing its terms.
+Hash and equality stay those of any equal polynomial, so set and dict
+orders over factors, and with them every normal form, do not change.
+
+Product(*factors, scalar=None) is a product of series left unevaluated.
+Its value() is the normal form (the factors multiplied left to right,
+then scaled), for anything that is rendered.  A check that only compares
+a product with a series does not need that normal form: Product's == keeps
+each key's terms unreduced (a numerator product and a summed factor
+multiset each), brings both sides over the largest exponent of each factor
+at that key and compares the numerators exactly.  That skips every
+exact-division attempt and every per-key lcm reduction of the product.
+It pays for a square or a few factors with small numerators, where the
+unreduced terms are few; the terms of n factors are all in-box choices
+of one key from each, so a long product, or one whose factors only
+cancel after reduction, is cheaper evaluated.
+
 same(lhs, rhs) is the one comparator every check goes through: it returns
 True when the sides are equal and otherwise raises Mismatch, naming the
 first key, in sorted order, where two series, polynomials or dicts differ,
 with both coefficients rendered as in the JSON output (a constant fraction
-as its number).
+as its number).  Either side may be a Product; it is evaluated only on
+the failure path, to build the same witness its value would give.
 """
 
 from __future__ import annotations
@@ -378,11 +398,29 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
 
+_FACTOR_CACHE: dict = {}
+
+
+def _interned(f: LaurentPoly) -> LaurentPoly:
+    """The one shared object of the canonical factor f's value.
+
+    Factor multisets then find a factor by identity, without comparing
+    terms.  Hash and equality are those of any equal polynomial, so set
+    and dict orders over factors do not change.
+    """
+    g = _FACTOR_CACHE.get(f)
+    if g is None:
+        g = f
+        if len(_FACTOR_CACHE) < CACHE_LIMIT:
+            _FACTOR_CACHE[f] = f
+    return g
+
+
 def _canonical_parts(p: LaurentPoly):
     """Split p as coeff * monomial * canonical, canonical having constant 1.
 
     Returns (canonical_or_None, packed monomial key, coeff); canonical is
-    None when p itself is a single term.
+    None when p itself is a single term, and otherwise interned.
     """
     if not p._t:
         raise ZeroDivisionError("zero denominator")
@@ -392,7 +430,7 @@ def _canonical_parts(p: LaurentPoly):
         return None, mk, c
     inv = Fraction(1) / c
     canon = p._shifted(-mk).scale(inv)
-    return canon, mk, c
+    return _interned(canon), mk, c
 
 
 def _exact_div(num: LaurentPoly, f: LaurentPoly):
@@ -467,7 +505,7 @@ class LaurentFraction:
             if not (isinstance(e, int) and e > 0):
                 raise ValueError(f"denominator exponent {e!r} is not a positive int")
         self.num = num
-        self.den = den
+        self.den = {_interned(f): e for f, e in den.items()} if den else den
 
     @classmethod
     def _of(cls, num: LaurentPoly, den: dict):
@@ -891,6 +929,140 @@ class MultiQSeries:
         return f"MultiQSeries(dims={self.dims}, terms={len(self.c)})"
 
 
+class Product:
+    """The product of series factors times an optional scalar, unevaluated.
+
+    value() is the product in normal form: the factors multiplied left to
+    right (x * x squares by symmetry), then scaled by the scalar.  == and
+    same() compare a Product with a series or another Product without
+    that normal form, key by key: each side's terms stay unreduced, one
+    numerator product and one summed factor multiset per choice of keys,
+    both sides are brought over the per-key maximum exponent of each
+    factor, and the numerators are compared exactly (_cross_equal).
+    """
+
+    __slots__ = ("factors", "scalar", "dims")
+
+    def __init__(self, *factors: MultiQSeries, scalar=None):
+        if not factors:
+            raise ValueError("a product needs at least one factor")
+        for f in factors:
+            if not isinstance(f, MultiQSeries):
+                raise TypeError("product factors are series")
+            factors[0]._check(f)
+        if scalar is not None and LaurentFraction._coerce(scalar) is None:
+            raise TypeError("a product's scalar is a fraction, polynomial or number")
+        self.factors = factors
+        self.scalar = scalar
+        self.dims = factors[0].dims
+
+    def value(self) -> MultiQSeries:
+        out = self.factors[0]
+        for f in self.factors[1:]:
+            out = out * f
+        return out if self.scalar is None else out.scale(self.scalar)
+
+    def _terms(self) -> dict:
+        """Per key, the unreduced (numerator, factor multiset) terms of the
+        factors' product; the scalar is left out."""
+        first, rest = self.factors[0], self.factors[1:]
+        if rest and rest[0] is first:
+            acc, rest = _square_terms(first), rest[1:]
+        else:
+            acc = {k: [(v.num, v.den)] for k, v in first.c.items()}
+        for f in rest:
+            acc = _times_terms(acc, f)
+        return acc
+
+    def __eq__(self, other):
+        if isinstance(other, Product):
+            b, sb = other._terms(), other.scalar
+        elif isinstance(other, MultiQSeries):
+            b, sb = {k: [(v.num, v.den)] for k, v in other.c.items()}, None
+        else:
+            return NotImplemented
+        self.factors[0]._check(other)
+        a = self._terms()
+        sa, sb = (None if s is None else LaurentFraction._coerce(s) for s in (self.scalar, sb))
+        return all(_cross_equal(a.get(k, []), sa, b.get(k, []), sb) for k in a.keys() | b.keys())
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Product(dims={self.dims}, factors={len(self.factors)})"
+
+
+def _den_sum(a: dict, b: dict) -> dict:
+    """The sum of two factor multisets; an empty one returns the other as it is."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = dict(a)
+    for f, e in b.items():
+        out[f] = out.get(f, 0) + e
+    return out
+
+
+def _square_terms(x: MultiQSeries) -> dict:
+    """The terms of x * x: each unordered pair of keys once, the
+    off-diagonal numerators doubled."""
+    items = list(x.c.items())
+    out: dict = {}
+    for i, (k1, v1) in enumerate(items):
+        for j, (k2, v2) in enumerate(items[i:]):
+            kk = tuple(a + b for a, b in zip(k1, k2))
+            if not any(s > d for s, d in zip(kk, x.dims)):
+                num = v1.num * v2.num
+                out.setdefault(kk, []).append((num.scale(2) if j else num,
+                                               _den_sum(v1.den, v2.den)))
+    return out
+
+
+def _times_terms(acc: dict, x: MultiQSeries) -> dict:
+    """The terms of acc times the series x, every pair of terms kept apart."""
+    out: dict = {}
+    for k1, ts in acc.items():
+        for k2, v in x.c.items():
+            kk = tuple(a + b for a, b in zip(k1, k2))
+            if not any(s > d for s, d in zip(kk, x.dims)):
+                out.setdefault(kk, []).extend((num * v.num, _den_sum(den, v.den))
+                                              for num, den in ts)
+    return out
+
+
+def _over(terms: list, scalar, den: dict) -> LaurentPoly:
+    """The numerator of scalar * (the sum of terms) over the factor
+    multiset den, which each term's multiset, with the scalar's, divides."""
+    acc: dict = {}
+    for num, d in terms:
+        missing = {f: e - d.get(f, 0) for f, e in den.items() if e > d.get(f, 0)}
+        for k, v in (num * _den_expand(missing) if missing else num)._t.items():
+            acc[k] = acc.get(k, 0) + v
+    out = LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v})
+    return out if scalar is None else out * scalar.num
+
+
+def _cross_equal(a: list, sa, b: list, sb) -> bool:
+    """Whether sa * (sum of a) == sb * (sum of b), by cross-multiplication.
+
+    a and b are lists of (numerator, factor multiset) terms, sa and sb
+    LaurentFraction scalars or None.  Both sides go over one multiset, the
+    maximum exponent of each factor over every term of both, so their
+    numerators are equal exactly when the values are.
+    """
+    if sa is not None:
+        a = [(num, _den_sum(d, sa.den)) for num, d in a]
+    if sb is not None:
+        b = [(num, _den_sum(d, sb.den)) for num, d in b]
+    den: dict = {}
+    for _, d in a + b:
+        for f, e in d.items():
+            if e > den.get(f, 0):
+                den[f] = e
+    return _over(a, sa, den) == _over(b, sb, den)
+
+
 class QSeries(MultiQSeries):
     """One-axis series from a dense coefficient list: coeffs[d] is the Q**d term.
 
@@ -1051,9 +1223,18 @@ def _show(x) -> str:
 
 
 def same(lhs, rhs) -> bool:
-    """True when lhs == rhs; otherwise raise Mismatch with the first differing key."""
+    """True when lhs == rhs; otherwise raise Mismatch with the first differing key.
+
+    A Product side is evaluated on the failure path only, so its witness
+    is the one its value would give; if the values then agree, the two
+    comparisons disagree, and that raises ArithmeticError, never a pass.
+    """
     if lhs == rhs:
         return True
+    if isinstance(lhs, Product) or isinstance(rhs, Product):
+        lhs, rhs = (x.value() if isinstance(x, Product) else x for x in (lhs, rhs))
+        if lhs == rhs:
+            raise ArithmeticError("the cross-multiplied comparison and the normal forms disagree")
     if type(lhs) is type(rhs) and _keyed(lhs):
         (ca, show), (cb, _) = _keyed(lhs), _keyed(rhs)
         for k in sorted(ca.keys() | cb.keys()):

@@ -85,7 +85,7 @@ def test_chain_closed_form_three_slots():
 
 def test_chain_value_matches_closed_everywhere_in_box():
     kt = ktilde_brute(((1,), (1,)), (3,))
-    kc = kgen_closed(((1,), (1,)), (3,))
+    kc = kgen_closed(((1,), (1,)), (3,)).value()
     assert ktilde_brute(((), ()), (2,)).get((0,)) == 1
     for d in range(4):
         assert kt.get((d,)) == kc.get((d,))

@@ -60,10 +60,10 @@ def source_mutant(fn, old: str, new: str):
     return namespace[fn.__name__]
 
 
-def tiny_failures(suite: str, tmp_path, capsys):
+def tiny_failures(suite: str, tmp_path, capsys, sizes=TINY_SIZES):
     """The number of failed checks of a tiny run, and their witnesses."""
     report = tmp_path / "report.json"
-    main(["verify", suite, *TINY_SIZES, "--json", str(report)])
+    main(["verify", suite, *sizes, "--json", str(report)])
     capsys.readouterr()
     doc = json.loads(report.read_text())
     witnesses = [e["witness"] for e in doc["entries"] if e["status"] == "fail"]
@@ -248,3 +248,26 @@ def test_pair_series_placed_one_axis_short_of_its_ray_is_caught(mutate, tmp_path
     mutate(ksum, "ray_keys", mutant)
     assert tiny_failures("kgen", tmp_path, capsys)[0] > 0
     assert tiny_failures("sun", tmp_path, capsys)[0] > 0
+
+
+def test_lazy_square_without_doubled_cross_terms_is_caught(mutate, tmp_path, capsys):
+    # the cross-multiplied x * x keeps each off-diagonal pair of keys once
+    mutant = source_mutant(series._square_terms, "num.scale(2) if j else num", "num")
+    mutate(series, "_square_terms", mutant)
+    assert tiny_failures("sun", tmp_path, capsys)[0] > 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert "squared-chain-rank3" in {e["id"] for e in doc["entries"] if e["status"] == "fail"}
+
+
+def test_common_denominator_of_one_side_is_caught(mutate, tmp_path, capsys):
+    # same(ktilde_brute, kgen_closed) reaches Product.__eq__ reflected, so b
+    # holds the brute side's terms: the denominator is taken from them
+    # alone, and factors only the closed side's terms carry are never
+    # expanded.  At TINY_SIZES (dims (1, 1)) both sides carry the same
+    # largest exponents at every key, so the mutant needs dims (2, 2).
+    mutant = source_mutant(series._cross_equal, "for _, d in a + b:", "for _, d in b:")
+    mutate(series, "_cross_equal", mutant)
+    sizes = ["--max-weight", "1", "--qdeg", "2"]
+    assert tiny_failures("kgen", tmp_path, capsys, sizes)[0] > 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert "chain-closed-form-rank3" in {e["id"] for e in doc["entries"] if e["status"] == "fail"}

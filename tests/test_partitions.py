@@ -95,6 +95,50 @@ def test_common_subpartitions_keep_the_filtered_order():
             assert list(common_subpartitions(a, b)) == old
 
 
+def _partitions_of_reference(n, max_part=None):
+    """The generator partitions_of was before its memo table, kept as the reference."""
+    if max_part is None or max_part > n:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(max_part, 0, -1):
+        for rest in _partitions_of_reference(n - first, first):
+            yield (first,) + rest
+
+
+def _subpartitions_reference(mu):
+    for n in range(weight(mu) + 1):
+        for eta in _partitions_of_reference(n):
+            if contains(eta, mu):
+                yield eta
+
+
+def _common_subpartitions_reference(a, b):
+    for eta in _subpartitions_reference(a if weight(a) <= weight(b) else b):
+        if contains(eta, a) and contains(eta, b):
+            yield eta
+
+
+def test_memoized_sweeps_match_the_generators():
+    # each sweep is one stored tuple, in the order the generators yielded
+    top = 8
+    for n in range(top + 1):
+        for m in [None, *range(n + 2)]:
+            args = (n,) if m is None else (n, m)
+            assert partitions_of(*args) == tuple(_partitions_of_reference(*args))
+            assert partitions_of(*args) is partitions_of(*args)
+    parts = [mu for n in range(top + 1) for mu in _partitions_of_reference(n)]
+    for mu in parts:
+        assert subpartitions(mu) == tuple(_subpartitions_reference(mu))
+        assert conjugate(mu) == tuple(sum(1 for p in mu if p > j) for j in range(mu[0] if mu else 0))
+        assert subpartitions(mu) is subpartitions(mu) and conjugate(mu) is conjugate(mu)
+    small = [mu for mu in parts if weight(mu) <= 5]
+    for a in small:
+        for b in small:
+            assert common_subpartitions(a, b) == tuple(_common_subpartitions_reference(a, b))
+
+
 def test_hook_content_identity_small():
     for w in range(7):
         for mu in partitions_of(w):

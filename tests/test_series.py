@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vertexcalc import series
 from vertexcalc.partitions import normalize
+from vertexcalc.prodred import bracket
 from vertexcalc.series import (EXP_LIMIT, LaurentFraction, LaurentPoly, Mismatch,
-                               MultiQSeries, QSeries, expand_in_q,
+                               MultiQSeries, Product, QSeries, expand_in_q,
                                expand_in_q_multi, fraction_json, memo,
                                multiqseries_json, pack, poly_terms_json,
                                qseries_json, same, unpack)
@@ -284,6 +285,17 @@ def test_value_at_one_is_refreshed_after_each_quotient(monkeypatch):
     assert x.num == a and x.den == {f: 1}
 
 
+def test_canonical_factors_are_interned():
+    # one object per factor value, hashed as any equal polynomial is, so
+    # the lcm's set order, and with it every normal form, is unchanged
+    (f,), (g,) = bracket(3).inv().den, bracket(3).inv().den
+    assert f is g
+    assert hash(f) == hash(frozenset(f.d.items()))
+    t = mono(1, (1,))
+    (h,), (k,) = LaurentFraction(t, {1 - t: 1}).den, LaurentFraction(t, {1 - t: 2}).den
+    assert h is k and h == 1 - t
+
+
 def test_fraction_rejects_non_canonical_factor():
     # t - 1 is 1 - t up to sign; accepting it would let the division pass
     # treat it as canonical and return a wrong value with no error
@@ -475,6 +487,107 @@ def test_square_drops_a_cancelled_coefficient():
         sq = x * x
         assert (2,) not in sq.c
         assert sq == x * MultiQSeries._of(x.dims, dict(x.c))
+
+
+BINOMIALS = [LaurentPoly({(): 1, (1,): -1}), LaurentPoly({(): 1, (2,): -1}),
+             LaurentPoly({(): 1, (1,): 1}), LaurentPoly({(): 1, (1,): 2})]
+
+
+@st.composite
+def binomial_series(draw, dims):
+    """A series on dims whose coefficients are small polynomials in t over
+    products of binomials, 1 - t**2 and 1 - t overlapping."""
+    c = {}
+    for key in draw(st.lists(st.tuples(*(st.integers(0, d) for d in dims)), max_size=4)):
+        num = draw(laurent_polys(span=2, terms=3))
+        den = {f: draw(st.integers(1, 2)) for f in draw(st.sets(st.sampled_from(BINOMIALS),
+                                                                max_size=2))}
+        c[key] = LaurentFraction._make(num, den)
+    return MultiQSeries(dims, c)
+
+
+@st.composite
+def product_cases(draw):
+    """(Product, other side): 1 to 3 factors, squares x * x included, with
+    or without a scalar; the other side is the product's value, that value
+    off at one key, an unrelated series, or a second Product."""
+    dims = draw(st.sampled_from([(2,), (3,), (1, 1), (2, 1)]))
+    pool = [draw(binomial_series(dims)) for _ in range(draw(st.integers(1, 3)))]
+    factors = [pool[draw(st.integers(0, len(pool) - 1))]
+               for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        factors[1:2] = [factors[0]]
+    scalar = draw(st.one_of(st.none(), st.sampled_from([
+        3, Fraction(-1, 2), LaurentFraction.monomial(-1, (2,)),
+        LaurentFraction.monomial(1, (-1,)) / LaurentFraction.from_poly(BINOMIALS[1])])))
+    p = Product(*factors, scalar=scalar)
+    kind = draw(st.sampled_from(["value", "off", "other", "product"]))
+    if kind == "value":
+        other = p.value()
+    elif kind == "off":
+        key = tuple(draw(st.integers(0, d)) for d in dims)
+        other = p.value() + MultiQSeries(dims, {key: LaurentFraction.monomial(1, (1,))})
+    elif kind == "other":
+        other = draw(binomial_series(dims))
+    else:
+        other = Product(*factors[::-1], scalar=scalar)
+    return p, other
+
+
+def verdict(lhs, rhs):
+    """same's verdict: True, or the Mismatch text."""
+    try:
+        return same(lhs, rhs)
+    except Mismatch as exc:
+        return str(exc)
+
+
+def evaluated(x):
+    return x.value() if isinstance(x, Product) else x
+
+
+@given(product_cases(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_product_comparison_matches_the_evaluated_one(case, swap):
+    # cross-multiplied and normal-form comparisons give one verdict, and a
+    # mismatch one witness
+    p, other = case
+    lhs, rhs = (other, p) if swap else (p, other)
+    assert verdict(lhs, rhs) == verdict(evaluated(lhs), evaluated(rhs))
+
+
+def test_product_value_multiplies_left_to_right_then_scales():
+    x = MultiQSeries((2,), {(0,): 1, (1,): LaurentFraction.monomial(2, (1,))})
+    y = MultiQSeries((2,), {(1,): LaurentFraction.from_poly(BINOMIALS[0]).inv()})
+    s = LaurentFraction.monomial(3, (-1,))
+    got = Product(x, x, y, scalar=s).value()
+    want = ((x * x) * y).scale(s)
+    assert got.c.keys() == want.c.keys()
+    assert all(got.c[k].num._t == v.num._t and got.c[k].den == v.den for k, v in want.c.items())
+    assert Product(x).value() is x
+
+
+def test_product_dims_must_agree():
+    x, y = MultiQSeries((2,), {(1,): 1}), MultiQSeries((2, 2), {(1, 1): 1})
+    with pytest.raises(ValueError):
+        Product(x, y)
+    with pytest.raises(ValueError):
+        same(Product(x, x), y)
+    with pytest.raises(ValueError):
+        same(y, Product(x, scalar=2))
+    with pytest.raises(ValueError):
+        Product(x) == Product(y)
+
+
+def test_a_disagreeing_comparator_never_passes(monkeypatch):
+    # the cross-multiplied test reports "differ" on equal sides: same must
+    # raise rather than pass, and the error is not a witness
+    x = MultiQSeries((2,), {(0,): 1, (1,): LaurentFraction.from_poly(BINOMIALS[0]).inv()})
+    monkeypatch.setattr(series, "_cross_equal", lambda *args: False)
+    with pytest.raises(ArithmeticError):
+        same(Product(x, x), x * x)
+    with pytest.raises(ArithmeticError):
+        same(x * x, Product(x, x, scalar=1))
 
 
 def test_expand_in_q_geometric():
