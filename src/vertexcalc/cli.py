@@ -348,6 +348,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, RecursionError) as exc:
+        # a partition whose exponents leave the packed key range, or whose
+        # cells nest deeper than the interpreter's recursion limit
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,12 +31,14 @@ polynomial gcd: identical factors cancel syntactically, and each binomial
 factor 1 + v*X**k is divided out of the numerator exactly (synthetic
 division) whenever it divides.  The paper's identities are products of such
 binomials; a factor with more terms stays in the denominator, and equality
-stays exact because == cross-multiplies.  Most factors are 1 - X**k, which
-vanish at X = (1, ..., 1).  Evaluation at 1 is a ring map, so such a factor
-cannot divide a numerator whose coefficients do not sum to 0; that division
-is not attempted, since it could only fail, and the result is the same.
+stays exact because == cross-multiplies (_cross_equal, below).  Most
+factors are 1 - X**k, which vanish at X = (1, ..., 1).  Evaluation at 1
+is a ring map, so such a factor cannot divide a numerator whose
+coefficients do not sum to 0; that division is not attempted, since it
+could only fail, and the result is the same.
 LaurentFraction.sum brings many terms over one lcm and reduces once, and
-a + b is its two-term case.
+a + b is its two-term case; _over, which adds the numerators over a
+factor multiset, is shared with the cross-multiplication.
 Scaling by a number, and a product with a one-term polynomial, keep int
 coefficients in ints: an int v times p/q is (v * p) // q when q divides
 v * p, and a Fraction only when it does not, so a scalar such as 1/2**k
@@ -46,8 +48,10 @@ multisets: D's factors are taken off a's denominator, and only those a
 lacks are expanded into the numerator before one reduction.  That
 normal form may differ from the one a * b.inv() reaches, so a value
 that is rendered is built with * inv(), not with /.
-MultiQSeries squares by symmetry: x * x forms each unordered pair of keys
-once and doubles the off-diagonal products.
+One enumerator, _pairs, yields the pairs of keys of two series whose sum
+lies in the box.  Squaring by symmetry lives there too: for x * x it
+yields each unordered pair of keys once and marks the off-diagonal ones,
+whose products are doubled.  MultiQSeries * and Product both loop over it.
 
 Canonical factors are interned: _canonical_parts and LaurentFraction's
 constructor hand out one shared object per factor value, so a factor
@@ -60,9 +64,11 @@ Its value() is the normal form (the factors multiplied left to right,
 then scaled), for anything that is rendered.  A check that only compares
 a product with a series does not need that normal form: Product's == keeps
 each key's terms unreduced (a numerator product and a summed factor
-multiset each), brings both sides over the largest exponent of each factor
-at that key and compares the numerators exactly.  That skips every
-exact-division attempt and every per-key lcm reduction of the product.
+multiset each) and hands both sides to _cross_equal, which brings them
+over the largest exponent of each factor at that key and compares the
+numerators exactly.  LaurentFraction's == is its one-term case.  That
+skips every exact-division attempt and every per-key lcm reduction of
+the product.
 It pays for a square or a few factors with small numerators, where the
 unreduced terms are few; the terms of n factors are all in-box choices
 of one key from each, so a long product, or one whose factors only
@@ -180,6 +186,18 @@ def _scaled(t: dict, c, x: int = 0) -> dict:
             out[k + x] = Fraction(n, q) if n % q else n // q
         else:
             out[k + x] = _normval(v * c)
+    return out
+
+
+def _power(x, n: int, one):
+    """x ** n for an int n >= 0 by square-and-multiply, starting from one."""
+    out, base = one, x
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
     return out
 
 
@@ -312,15 +330,7 @@ class LaurentPoly:
         top = max((abs(e) for k in self._t for e in unpack(k)), default=0)
         if top * n >= EXP_LIMIT:
             raise OverflowError("an exponent of the power leaves the packed key range")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, LaurentPoly.one())
 
     def scale(self, c):
         if not c:
@@ -588,10 +598,7 @@ class LaurentFraction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        den = dict(self.den)
-        for f, e in o.den.items():
-            den[f] = den.get(f, 0) + e
-        return LaurentFraction._make(self.num * o.num, den)
+        return LaurentFraction._make(self.num * o.num, _den_sum(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -615,13 +622,7 @@ class LaurentFraction:
         for t in terms[1:]:
             factors |= set(t.den)
         den = {f: max(t.den.get(f, 0) for t in terms) for f in factors}
-        acc: dict = {}
-        for t in terms:
-            missing = {f: e - t.den.get(f, 0) for f, e in den.items() if e > t.den.get(f, 0)}
-            for k, v in (t.num * _den_expand(missing) if missing else t.num)._t.items():
-                acc[k] = acc.get(k, 0) + v
-        num = LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v})
-        return cls._make(num, den)
+        return cls._make(_over([(t.num, t.den) for t in terms], None, den), den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -685,15 +686,7 @@ class LaurentFraction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = LaurentFraction.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, LaurentFraction.one())
 
     def scale(self, c):
         if not c:
@@ -743,20 +736,7 @@ class LaurentFraction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        da = dict(self.den)
-        db = dict(o.den)
-        for f in list(da):
-            if f in db:
-                m = min(da[f], db[f])
-                da[f] -= m
-                db[f] -= m
-                if not da[f]:
-                    del da[f]
-                if not db[f]:
-                    del db[f]
-        lhs = self.num * _den_expand(db) if db else self.num
-        rhs = o.num * _den_expand(da) if da else o.num
-        return lhs == rhs
+        return _cross_equal([(self.num, self.den)], None, [(o.num, o.den)], None)
 
     __hash__ = None
 
@@ -797,6 +777,21 @@ def _uni(p: LaurentPoly) -> dict[int, object]:
     if any(not -_HALF <= k < _HALF for k in p._t):
         raise ValueError("expansion needs a single-variable expression")
     return p._t
+
+
+def _pairs(a: Mapping, b: Mapping | None, dims):
+    """(summed key, value in a, value in b, twice) for each pair of keys of
+    a and b whose sum lies in the box dims, a's keys outermost.
+
+    With b None it squares a: each unordered pair of keys is yielded once,
+    the diagonal first for each key of a, and twice is set off the diagonal.
+    """
+    items = list(a.items())
+    for i, (k1, v1) in enumerate(items):
+        for j, (k2, v2) in enumerate(items[i:] if b is None else b.items()):
+            kk = tuple(x + y for x, y in zip(k1, k2))
+            if not any(s > d for s, d in zip(kk, dims)):
+                yield kk, v1, v2, b is None and j > 0
 
 
 class MultiQSeries:
@@ -859,17 +854,10 @@ class MultiQSeries:
         if not isinstance(other, MultiQSeries):
             return NotImplemented
         self._check(other)
-        # x * x forms each unordered pair of keys once and doubles the
-        # off-diagonal products; j == 0 is the diagonal.
-        square = other is self
-        items = list(self.c.items())
         parts: dict = {}
-        for i, (k1, v1) in enumerate(items):
-            for j, (k2, v2) in enumerate(items[i:] if square else other.c.items()):
-                kk = tuple(a + b for a, b in zip(k1, k2))
-                if not any(x > d for x, d in zip(kk, self.dims)):
-                    p = v1 * v2
-                    parts.setdefault(kk, []).append(p.scale(2) if square and j else p)
+        for kk, v1, v2, twice in _pairs(self.c, None if other is self else other.c, self.dims):
+            p = v1 * v2
+            parts.setdefault(kk, []).append(p.scale(2) if twice else p)
         out = {kk: LaurentFraction.sum(vs) for kk, vs in parts.items()}
         return MultiQSeries._of(self.dims, {k: v for k, v in out.items() if v})
 
@@ -964,26 +952,36 @@ class Product:
 
     def _terms(self) -> dict:
         """Per key, the unreduced (numerator, factor multiset) terms of the
-        factors' product; the scalar is left out."""
+        factors' product, every pair of terms kept apart; the scalar is left
+        out.  A leading x * x forms each unordered pair of keys once and
+        doubles the off-diagonal numerators."""
         first, rest = self.factors[0], self.factors[1:]
         if rest and rest[0] is first:
-            acc, rest = _square_terms(first), rest[1:]
+            acc: dict = {}
+            for kk, v1, v2, twice in _pairs(first.c, None, self.dims):
+                num = v1.num * v2.num
+                acc.setdefault(kk, []).append((num.scale(2) if twice else num,
+                                               _den_sum(v1.den, v2.den)))
+            rest = rest[1:]
         else:
             acc = {k: [(v.num, v.den)] for k, v in first.c.items()}
         for f in rest:
-            acc = _times_terms(acc, f)
+            out: dict = {}
+            for kk, ts, v, _ in _pairs(acc, f.c, self.dims):
+                out.setdefault(kk, []).extend((num * v.num, _den_sum(den, v.den))
+                                              for num, den in ts)
+            acc = out
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, Product):
-            b, sb = other._terms(), other.scalar
-        elif isinstance(other, MultiQSeries):
-            b, sb = {k: [(v.num, v.den)] for k, v in other.c.items()}, None
-        else:
+        if isinstance(other, MultiQSeries):
+            other = Product(other)
+        elif not isinstance(other, Product):
             return NotImplemented
         self.factors[0]._check(other)
-        a = self._terms()
-        sa, sb = (None if s is None else LaurentFraction._coerce(s) for s in (self.scalar, sb))
+        a, b = self._terms(), other._terms()
+        sa, sb = (None if s is None else LaurentFraction._coerce(s)
+                  for s in (self.scalar, other.scalar))
         return all(_cross_equal(a.get(k, []), sa, b.get(k, []), sb) for k in a.keys() | b.keys())
 
     __hash__ = None
@@ -1004,42 +1002,22 @@ def _den_sum(a: dict, b: dict) -> dict:
     return out
 
 
-def _square_terms(x: MultiQSeries) -> dict:
-    """The terms of x * x: each unordered pair of keys once, the
-    off-diagonal numerators doubled."""
-    items = list(x.c.items())
-    out: dict = {}
-    for i, (k1, v1) in enumerate(items):
-        for j, (k2, v2) in enumerate(items[i:]):
-            kk = tuple(a + b for a, b in zip(k1, k2))
-            if not any(s > d for s, d in zip(kk, x.dims)):
-                num = v1.num * v2.num
-                out.setdefault(kk, []).append((num.scale(2) if j else num,
-                                               _den_sum(v1.den, v2.den)))
-    return out
-
-
-def _times_terms(acc: dict, x: MultiQSeries) -> dict:
-    """The terms of acc times the series x, every pair of terms kept apart."""
-    out: dict = {}
-    for k1, ts in acc.items():
-        for k2, v in x.c.items():
-            kk = tuple(a + b for a, b in zip(k1, k2))
-            if not any(s > d for s, d in zip(kk, x.dims)):
-                out.setdefault(kk, []).extend((num * v.num, _den_sum(den, v.den))
-                                              for num, den in ts)
-    return out
-
-
 def _over(terms: list, scalar, den: dict) -> LaurentPoly:
     """The numerator of scalar * (the sum of terms) over the factor
-    multiset den, which each term's multiset, with the scalar's, divides."""
+    multiset den, which each term's multiset, with the scalar's, divides.
+
+    The numerators are added in the order of the terms; a lone term's
+    polynomial is taken as it is, without copying it.
+    """
     acc: dict = {}
     for num, d in terms:
         missing = {f: e - d.get(f, 0) for f, e in den.items() if e > d.get(f, 0)}
-        for k, v in (num * _den_expand(missing) if missing else num)._t.items():
-            acc[k] = acc.get(k, 0) + v
-    out = LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v})
+        out = num * _den_expand(missing) if missing else num
+        if len(terms) != 1:
+            for k, v in out._t.items():
+                acc[k] = acc.get(k, 0) + v
+    if len(terms) != 1:
+        out = LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v})
     return out if scalar is None else out * scalar.num
 
 

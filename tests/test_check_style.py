@@ -126,3 +126,33 @@ def test_memo_tables_are_module_dicts_named_cache():
                     offenders.append(f"{path.name}:{node.name}")
     assert tables >= 20
     assert offenders == []
+
+
+def summed_key(node) -> bool:
+    """Whether node is tuple(a + b for a, b in zip(...)), two keys added."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple" and len(node.args) == 1
+            and isinstance(node.args[0], ast.GeneratorExp)
+            and isinstance(node.args[0].elt, ast.BinOp)
+            and isinstance(node.args[0].elt.op, ast.Add))
+
+
+def zips_dims(node) -> bool:
+    """Whether node is a zip(...) call with dims or an attribute .dims among its arguments."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "zip"
+            and any((isinstance(a, ast.Name) and a.id == "dims")
+                    or (isinstance(a, ast.Attribute) and a.attr == "dims") for a in node.args))
+
+
+def test_one_loop_enumerates_in_box_key_pairs():
+    # series._pairs is the one place that adds two keys and tests the sum
+    # against the box, so a box-bounded enumeration changes in one place
+    tree = ast.parse((SRC / "series.py").read_text())
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            nodes = list(ast.walk(fn))
+            if any(map(summed_key, nodes)) and any(map(zips_dims, nodes)):
+                found.add(fn.name)
+    assert found == {"_pairs"}

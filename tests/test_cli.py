@@ -236,6 +236,8 @@ def test_verify_bad_size_exits_two(capsys, argv):
     ("multiset", "--mu1", "1", "--mu2", "0", "--expand", "at_zero"),
     ("w1", "--mu", "1", "--order", "3"),
     ("k", "--mu1", "1", "--mu2", "0", "--transpose2", "--order", "3"),
+    ("w1", "--mu", "99999999999"),
+    ("w3", "--mu1", "70000", "--mu2", "1", "--mu3", "1"),
 ])
 def test_compute_bad_input_exits_two(capsys, argv):
     code, out, err = run(capsys, "compute", *argv)

@@ -21,6 +21,9 @@ from vertexcalc.cli import main
 
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
 TINY_SIZES = ["--max-weight", "1", "--qdeg", "1", "--bdeg", "1", "--fdeg", "2"]
+# at --bdeg 1 every partition of a tuple has kappa 0, so the kappa ladders
+# of the residual report need --bdeg 2
+KAPPA_SIZES = ["--max-weight", "1", "--qdeg", "1", "--bdeg", "2", "--fdeg", "2"]
 
 
 def vertexcalc_modules():
@@ -89,6 +92,7 @@ def test_unmutated_tiny_suites_pass(tmp_path, capsys):
     for suite in ("partitions", "prodred", "schur", "vertex", "k", "kgen", "sun",
                   "nekrasov-su2", "nekrasov-sun"):
         assert tiny_failures(suite, tmp_path, capsys) == (0, [])
+    assert tiny_failures("nekrasov-sun", tmp_path, capsys, KAPPA_SIZES) == (0, [])
 
 
 def test_no_division_is_walked_that_evaluation_at_one_rules_out(monkeypatch, tmp_path, capsys):
@@ -208,8 +212,18 @@ def test_z_su2_grading_by_one_weight_is_caught(mutate, tmp_path, capsys):
     assert tiny_failures("nekrasov-su2", tmp_path, capsys)[0] > 0
 
 
+def test_residual_kappa_ladder_off_by_one_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(nekrasov.sun_residual, "(2 * n - 2 - 2 * i) * kappa",
+                           "(2 * n - 1 - 2 * i) * kappa")
+    mutate(nekrasov, "sun_residual", mutant)
+    assert tiny_failures("nekrasov-sun", tmp_path, capsys, KAPPA_SIZES)[0] > 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    failing = {e["id"] for e in doc["entries"] if e["status"] == "fail"}
+    assert "residual-decomposition-report" in failing
+
+
 def test_square_without_doubled_cross_terms_is_caught(mutate, tmp_path, capsys):
-    mutant = source_mutant(series.MultiQSeries.__mul__, "p.scale(2) if square and j else p", "p")
+    mutant = source_mutant(series.MultiQSeries.__mul__, "p.scale(2) if twice else p", "p")
     mutate(series.MultiQSeries, "__mul__", mutant)
     assert tiny_failures("sun", tmp_path, capsys)[0] > 0
 
@@ -252,11 +266,18 @@ def test_pair_series_placed_one_axis_short_of_its_ray_is_caught(mutate, tmp_path
 
 def test_lazy_square_without_doubled_cross_terms_is_caught(mutate, tmp_path, capsys):
     # the cross-multiplied x * x keeps each off-diagonal pair of keys once
-    mutant = source_mutant(series._square_terms, "num.scale(2) if j else num", "num")
-    mutate(series, "_square_terms", mutant)
+    mutant = source_mutant(series.Product._terms, "num.scale(2) if twice else num", "num")
+    mutate(series.Product, "_terms", mutant)
     assert tiny_failures("sun", tmp_path, capsys)[0] > 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert "squared-chain-rank3" in {e["id"] for e in doc["entries"] if e["status"] == "fail"}
+
+
+def test_pair_enumerator_without_the_diagonal_is_caught(mutate, tmp_path, capsys):
+    # a square loses every product of a key with itself
+    mutant = source_mutant(series._pairs, "items[i:]", "items[i + 1:]")
+    mutate(series, "_pairs", mutant)
+    assert tiny_failures("sun", tmp_path, capsys)[0] > 0
 
 
 def test_common_denominator_of_one_side_is_caught(mutate, tmp_path, capsys):

@@ -6,7 +6,8 @@ sympy polynomials straight from the data.  invert_vars and subs_power are
 mirrored on the data itself (keys negated, axis 0 doubled), so the
 reference side shares no arithmetic with the kernel.  A kernel fraction
 N/D equals a reference P/Q iff the sympy polynomial N*Q - P*D is zero; a
-wrong cancellation or re-canonicalization shows up there.
+wrong cancellation or re-canonicalization shows up there.  The kernel's
+own == is held to the same test.
 """
 
 from fractions import Fraction
@@ -131,6 +132,33 @@ def test_sum_and_product_match_sympy(a, b):
     assert same(fa + fb, (ladd(lmul(pa, qb), lmul(pb, qa)), q))
     assert same(fa - fb, (ladd(lmul(pa, qb), lmul(pb, qa), -1), q))
     assert same(fa * fb, (lmul(pa, pb), q))
+
+
+@st.composite
+def case_pairs(draw):
+    """Two independent cases, or a case and the same value rebuilt: its
+    factors multiplied in another order, each denominator binomial
+    independently whole or not."""
+    a = draw(cases())
+    if draw(st.booleans()):
+        return a, draw(cases())
+    num, top, den = a
+    return a, (num, draw(st.permutations(top)),
+               [(c, k, e, draw(st.booleans())) for c, k, e, _ in draw(st.permutations(den))])
+
+
+@given(case_pairs(), binomials(2))
+@settings(max_examples=60, deadline=None)
+def test_equality_matches_sympy(ab, g):
+    a, b = ab
+    fa, fb = kernel(a), kernel(b)
+    (pa, qa), (pb, qb) = reference(a), reference(b)
+    assert (fa == fb) is ladd(lmul(pa, qb), lmul(pb, qa), -1)[0].is_zero
+    c, k = g
+    bg = LaurentFraction.from_poly(LaurentPoly({(): 1, k: c}))
+    assert fa == fa * bg * bg.inv()
+    assert fa == fa * bg.inv() * bg
+    assert fa != fa + 1
 
 
 @given(st.lists(cases(), max_size=5))
