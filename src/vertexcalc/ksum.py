@@ -20,13 +20,14 @@ on the sinh side), and ray_product places each on its ray of the Q box
 and returns their unevaluated series.Product.  kgen_closed is that
 Product, so verify_thm_kgen compares it with the brute side by
 cross-multiplication, and verify_sun_squares compares Product(kt, kt)
-with the sinh side the same way.  The sinh side itself stays eager
-(sun_square_series takes the value()): left unevaluated, its unreduced
-terms are every in-box choice of one key on each of the N(N-1)/2 rays,
-each carrying _sun_scalar's diagonal hook factors, which cancel only
-after reduction; measured, that ran up to 1.55x slower at rank 5.
-The brute side, ktilde_brute, sums the chain one link at a time over
-the partial sums of chain_links.
+with the sinh side left unevaluated too (sun_square_product: the rays of
+sun_pair_square, scaled by _sun_scalar).  The scalar's diagonal hook
+factors cancel only after reduction, so the evaluated side reduced every
+ray product and the scaling; series._cross_equal multiplies the rays on
+packed ints and reduces nothing.  sun_square_series is that value, for
+the checks that scale or shift it further.  The brute side,
+ktilde_brute, sums the chain one link at a time over the partial sums of
+chain_links.
 
 Everything here is exact: series coefficients are Laurent fractions in
 t, and the sinh-side equalities are fraction equalities, never truncated
@@ -326,13 +327,18 @@ def sun_pair_square(mu, nu, depth: int) -> MultiQSeries:
     return k00_square(depth) * expand_in_q_multi(blk, (depth,))
 
 
+def sun_square_product(mus, dims) -> Product:
+    """The sinh side of the squared chain series, unevaluated: _sun_scalar
+    times the sinh pair factor of every pair of slots on its ray."""
+    return ray_product(sun_pair_square, mus, dims, _sun_scalar(mus))
+
+
 def sun_square_series(mus, dims) -> MultiQSeries:
-    """The sinh side of the squared chain series: _sun_scalar times the
-    sinh pair factor of every pair of slots on its ray."""
-    return ray_product(sun_pair_square, mus, dims, _sun_scalar(mus)).value()
+    """The sinh side of the squared chain series, evaluated."""
+    return sun_square_product(mus, dims).value()
 
 
 def verify_sun_squares(mus, dims) -> bool:
-    """Squared chain series against the sinh-block normal form."""
+    """Squared chain series against the sinh-block normal form, both sides unevaluated."""
     kt = ktilde_brute(mus, dims)
-    return same(Product(kt, kt), sun_square_series(mus, dims))
+    return same(Product(kt, kt), sun_square_product(mus, dims))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ksum import k_brute_square, ktilde_brute, sun_square_series
+from .ksum import k_brute_square, ktilde_brute, sun_square_product, sun_square_series
 from .partitions import all_partitions, conjugate, kappa, partitions_of, weight
 from .series import LaurentFraction, MultiQSeries, Product, memo, same
 
@@ -138,7 +138,8 @@ def sun_tuple_identity(n: int, mus, dims) -> bool:
     """Framed squared chain series of one tuple against its normal form."""
     framing = sun_framing(n, n - 2, mus) * sun_framing(n, 0, mus)
     kt = ktilde_brute(mus, dims)
-    return same(Product(kt, kt, scalar=framing), sun_square_series(mus, dims).scale(framing))
+    sinh = sun_square_product(mus, dims)
+    return same(Product(kt, kt, scalar=framing), Product(*sinh.factors, scalar=sinh.scalar * framing))
 
 
 def sun_phi_model(n: int, mus) -> LaurentFraction:

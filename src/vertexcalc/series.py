@@ -37,8 +37,7 @@ is a ring map, so such a factor cannot divide a numerator whose
 coefficients do not sum to 0; that division is not attempted, since it
 could only fail, and the result is the same.
 LaurentFraction.sum brings many terms over one lcm and reduces once, and
-a + b is its two-term case; _over, which adds the numerators over a
-factor multiset, is shared with the cross-multiplication.
+a + b is its two-term case; _over adds the numerators over that lcm.
 Scaling by a number, and a product with a one-term polynomial, keep int
 coefficients in ints: an int v times p/q is (v * p) // q when q divides
 v * p, and a Fraction only when it does not, so a scalar such as 1/2**k
@@ -51,7 +50,8 @@ that is rendered is built with * inv(), not with /.
 One enumerator, _pairs, yields the pairs of keys of two series whose sum
 lies in the box.  Squaring by symmetry lives there too: for x * x it
 yields each unordered pair of keys once and marks the off-diagonal ones,
-whose products are doubled.  MultiQSeries * and Product both loop over it.
+whose products are doubled.  MultiQSeries * and the packed product in
+_cross_equal both loop over it.
 
 Canonical factors are interned: _canonical_parts and LaurentFraction's
 constructor hand out one shared object per factor value, so a factor
@@ -62,17 +62,20 @@ orders over factors, and with them every normal form, do not change.
 Product(*factors, scalar=None) is a product of series left unevaluated.
 Its value() is the normal form (the factors multiplied left to right,
 then scaled), for anything that is rendered.  A check that only compares
-a product with a series does not need that normal form: Product's == keeps
-each key's terms unreduced (a numerator product and a summed factor
-multiset each) and hands both sides to _cross_equal, which brings them
-over the largest exponent of each factor at that key and compares the
-numerators exactly.  LaurentFraction's == is its one-term case.  That
-skips every exact-division attempt and every per-key lcm reduction of
-the product.
-It pays for a square or a few factors with small numerators, where the
-unreduced terms are few; the terms of n factors are all in-box choices
-of one key from each, so a long product, or one whose factors only
-cancel after reduction, is cheaper evaluated.
+a product with a series, or with another product, does not need that
+normal form: Product's == hands both sides to _cross_equal, which brings
+each factor series over one factor multiset and both sides over a
+common one, and compares the numerators as Python ints.  Each polynomial
+is Kronecker-packed once, at t = 2**w with a slot width w that no
+coefficient of the difference can reach, so an int product is a
+polynomial product and equal ints are equal polynomials.  The series
+are then multiplied on their packed coefficients through _pairs, one
+int product per pair of keys, so a long product, a scaled one (the sinh
+side with its Q-free scalar) and one whose factors cancel only after
+reduction all compare without a reduction, a division attempt or a dict
+polynomial product.  LaurentFraction's == over equal factor multisets
+compares the numerators directly; over different ones it is the
+kernel's case of a scalar and no series.
 
 same(lhs, rhs) is the one comparator every check goes through: it returns
 True when the sides are equal and otherwise raises Mismatch, naming the
@@ -88,6 +91,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
@@ -204,7 +208,7 @@ def _power(x, n: int, one):
 class LaurentPoly:
     """Sparse Laurent polynomial with packed int exponent keys and exact coefficients."""
 
-    __slots__ = ("_t", "_h", "_d")
+    __slots__ = ("_t", "_h", "_d", "_k")
 
     def __init__(self, d: Mapping | None = None):
         dd = {}
@@ -622,7 +626,7 @@ class LaurentFraction:
         for t in terms[1:]:
             factors |= set(t.den)
         den = {f: max(t.den.get(f, 0) for t in terms) for f in factors}
-        return cls._make(_over([(t.num, t.den) for t in terms], None, den), den)
+        return cls._make(_over([(t.num, t.den) for t in terms], den), den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -736,7 +740,9 @@ class LaurentFraction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _cross_equal([(self.num, self.den)], None, [(o.num, o.den)], None)
+        if self.den == o.den:
+            return self.num._t == o.num._t
+        return _cross_equal((self, [], ()), (o, [], ()))
 
     __hash__ = None
 
@@ -789,8 +795,8 @@ def _pairs(a: Mapping, b: Mapping | None, dims):
     items = list(a.items())
     for i, (k1, v1) in enumerate(items):
         for j, (k2, v2) in enumerate(items[i:] if b is None else b.items()):
-            kk = tuple(x + y for x, y in zip(k1, k2))
-            if not any(s > d for s, d in zip(kk, dims)):
+            kk = tuple(map(operator.add, k1, k2))
+            if all(map(operator.le, kk, dims)):
                 yield kk, v1, v2, b is None and j > 0
 
 
@@ -923,10 +929,10 @@ class Product:
     value() is the product in normal form: the factors multiplied left to
     right (x * x squares by symmetry), then scaled by the scalar.  == and
     same() compare a Product with a series or another Product without
-    that normal form, key by key: each side's terms stay unreduced, one
-    numerator product and one summed factor multiset per choice of keys,
-    both sides are brought over the per-key maximum exponent of each
-    factor, and the numerators are compared exactly (_cross_equal).
+    that normal form: _cross_equal multiplies the factors on packed
+    ints, each coefficient's numerator over its factor's common
+    denominator, and compares the two sides' numerators over a common
+    factor multiset exactly.
     """
 
     __slots__ = ("factors", "scalar", "dims")
@@ -950,39 +956,15 @@ class Product:
             out = out * f
         return out if self.scalar is None else out.scale(self.scalar)
 
-    def _terms(self) -> dict:
-        """Per key, the unreduced (numerator, factor multiset) terms of the
-        factors' product, every pair of terms kept apart; the scalar is left
-        out.  A leading x * x forms each unordered pair of keys once and
-        doubles the off-diagonal numerators."""
-        first, rest = self.factors[0], self.factors[1:]
-        if rest and rest[0] is first:
-            acc: dict = {}
-            for kk, v1, v2, twice in _pairs(first.c, None, self.dims):
-                num = v1.num * v2.num
-                acc.setdefault(kk, []).append((num.scale(2) if twice else num,
-                                               _den_sum(v1.den, v2.den)))
-            rest = rest[1:]
-        else:
-            acc = {k: [(v.num, v.den)] for k, v in first.c.items()}
-        for f in rest:
-            out: dict = {}
-            for kk, ts, v, _ in _pairs(acc, f.c, self.dims):
-                out.setdefault(kk, []).extend((num * v.num, _den_sum(den, v.den))
-                                              for num, den in ts)
-            acc = out
-        return acc
-
     def __eq__(self, other):
         if isinstance(other, MultiQSeries):
             other = Product(other)
         elif not isinstance(other, Product):
             return NotImplemented
         self.factors[0]._check(other)
-        a, b = self._terms(), other._terms()
-        sa, sb = (None if s is None else LaurentFraction._coerce(s)
-                  for s in (self.scalar, other.scalar))
-        return all(_cross_equal(a.get(k, []), sa, b.get(k, []), sb) for k in a.keys() | b.keys())
+        return _cross_equal(*((LaurentFraction.one() if p.scalar is None
+                               else LaurentFraction._coerce(p.scalar),
+                               [f.c for f in p.factors], p.dims) for p in (self, other)))
 
     __hash__ = None
 
@@ -1002,9 +984,9 @@ def _den_sum(a: dict, b: dict) -> dict:
     return out
 
 
-def _over(terms: list, scalar, den: dict) -> LaurentPoly:
-    """The numerator of scalar * (the sum of terms) over the factor
-    multiset den, which each term's multiset, with the scalar's, divides.
+def _over(terms: list, den: dict) -> LaurentPoly:
+    """The numerator of the sum of terms over the factor multiset den,
+    which each term's multiset divides.
 
     The numerators are added in the order of the terms; a lone term's
     polynomial is taken as it is, without copying it.
@@ -1018,27 +1000,226 @@ def _over(terms: list, scalar, den: dict) -> LaurentPoly:
                 acc[k] = acc.get(k, 0) + v
     if len(terms) != 1:
         out = LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v})
-    return out if scalar is None else out * scalar.num
+    return out
 
 
-def _cross_equal(a: list, sa, b: list, sb) -> bool:
-    """Whether sa * (sum of a) == sb * (sum of b), by cross-multiplication.
+def _packing(p: LaurentPoly) -> tuple:
+    """What packing p needs: (p's term dict, its coefficients times their
+    common denominator, as ints; that denominator; the ints' L1 norm and
+    largest magnitude; the least and the greatest exponent of each axis,
+    as packed keys; on each axis, the gcd of the exponents above the
+    least one).  Zero has norm 0.  Computed once per polynomial, in its _k slot."""
+    try:
+        return p._k
+    except AttributeError:
+        pass
+    t = p._t
+    if not t:
+        p._k = t, [], 1, 0, 0, 0, 0, ()
+        return p._k
+    vals = list(t.values())
+    clear = 1
+    if Fraction in set(map(type, vals)):
+        clear = math.lcm(*(v.denominator for v in vals if type(v) is Fraction))
+        vals = [int(v * clear) for v in vals]
+    mags = list(map(abs, vals))
+    lo, hi = min(t), max(t)
+    naxes = max(-lo, hi).bit_length() // DIGIT_BITS + 1
+    if naxes == 1:
+        p._k = t, vals, clear, sum(mags), max(mags), lo, hi, (math.gcd(*(k - lo for k in t)),)
+    else:
+        axes = [_digits(t, i) for i in range(naxes)]
+        los = [min(d) for d in axes]
+        p._k = (t, vals, clear, sum(mags), max(mags), pack(los), pack([max(d) for d in axes]),
+                tuple(math.gcd(*(e - m for e in d)) for d, m in zip(axes, los)))
+    return p._k
 
-    a and b are lists of (numerator, factor multiset) terms, sa and sb
-    LaurentFraction scalars or None.  Both sides go over one multiset, the
-    maximum exponent of each factor over every term of both, so their
-    numerators are equal exactly when the values are.
+
+def _cross_equal(a: tuple, b: tuple) -> bool:
+    """Whether two products of series agree at every key of their box.
+
+    A side is (scalar, factors, dims): scalar is a LaurentFraction and
+    factors a list of coefficient dicts of series on the box dims, whose
+    product the scalar multiplies; no factors is the one-key series 1.
+
+    Common form.  Factor i goes over D_i, the largest exponent of each
+    denominator factor over its coefficients, a side over the scalar's
+    multiset plus the sum of its D_i, and both sides over D, the largest
+    exponent of each denominator factor over the two.  One int scale
+    clears every Fraction coefficient, the factors' included.
+
+    Packing.  Each numerator and denominator factor is packed once into
+    an int, its coefficients in slots of w bits: a key's slot is its
+    exponent above the polynomial's least one in units of g_i, the gcd of
+    every exponent step on axis i, and the axes lie in strides wide
+    enough for any product formed here (multivariate Kronecker
+    substitution), so the int is the polynomial's value at t**g_0 = 2**w
+    and packing is a ring map on those products and sums.  A coefficient
+    of factor i is packed as its numerator over D_i times the factors it
+    lacks, shifted up from the least exponent over factor i's
+    coefficients; a side's scalar numerator, times the factors of D the
+    side lacks, carries the side's shift up from the least exponent of
+    both sides.  The factors' packed coefficients are then multiplied as
+    the series are, through _pairs (x * x by symmetry, doubling each
+    off-diagonal pair), so no product is reduced or multiplied out as a
+    polynomial.
+
+    w is chosen with 2 * B < 2**w, B bounding every coefficient of
+    either side at any key: a product's coefficients are at most the
+    largest magnitude of one factor times the L1 norms of the others, and
+    each key's sum takes one coefficient of each factor per term.  Equal
+    ints then mean equal numerators: the lowest nonzero coefficient of a
+    nonzero difference would be a multiple of 2**w.
     """
-    if sa is not None:
-        a = [(num, _den_sum(d, sa.den)) for num, d in a]
-    if sb is not None:
-        b = [(num, _den_sum(d, sb.den)) for num, d in b]
-    den: dict = {}
-    for _, d in a + b:
-        for f, e in d.items():
-            if e > den.get(f, 0):
-                den[f] = e
-    return _over(a, sa, den) == _over(b, sb, den)
+    polys: dict = {}
+    columns: dict = {}
+
+    def entry(parts: list) -> tuple:
+        """(parts, scale, L1 bound, largest-magnitude bound, least and
+        greatest exponents) of the product of (packing, power) pairs."""
+        clear = norm = 1
+        lo = hi = 0
+        for r, j in parts:
+            clear *= r[2] ** j
+            norm *= r[3] ** j
+            lo += r[5] * j
+            hi += r[6] * j
+        peak = norm // parts[0][0][3] * parts[0][0][4] if parts and norm else norm
+        return parts, clear, norm, peak, lo, hi
+
+    def column(c: dict) -> list:
+        """[D_i as {id(factor): exponent}, {id(v): entry of v's numerator
+        times the factors of D_i that v lacks}], once per coefficient dict."""
+        out = columns.get(id(c))
+        if out is None:
+            top: dict = {}
+            for v in c.values():
+                for f, e in v.den.items():
+                    k = id(f)
+                    if e > top.get(k, 0):
+                        top[k] = e
+                        polys[k] = _packing(f)
+            data = {}
+            for v in c.values():
+                r = polys[id(v.num)] = _packing(v.num)
+                lack = dict(top)
+                for f, e in v.den.items():
+                    lack[id(f)] -= e
+                data[id(v)] = entry([(r, 1)] + [(polys[k], e) for k, e in lack.items() if e])
+            out = columns[id(c)] = [top, data]
+        return out
+
+    dens = []
+    for scalar, cols, _ in (a, b):
+        polys[id(scalar.num)] = _packing(scalar.num)
+        den: dict = {}
+        for f, e in scalar.den.items():
+            den[id(f)] = e
+            polys[id(f)] = _packing(f)
+        for c in cols:
+            for k, e in column(c)[0].items():
+                den[k] = den.get(k, 0) + e
+        dens.append(den)
+    top = dict(dens[0])
+    for k, e in dens[1].items():
+        if e > top.get(k, 0):
+            top[k] = e
+    naxes = max(1, *map(len, (r[7] for r in polys.values())))
+
+    def extreme(pick, xs: list) -> int:
+        """The packed key of the least (pick=min) or greatest (max) exponent per axis."""
+        if naxes == 1:
+            return pick(xs)
+        return sum(pick(_digits(xs, i)) << (DIGIT_BITS * i) for i in range(naxes))
+
+    # each column record gains its scale, least and greatest exponents and
+    # summed L1 bound; an empty series is zero, of bound 0
+    for col in columns.values():
+        entries = col[1].values()
+        if entries:
+            clear = math.lcm(*(x[1] for x in entries))
+            col += [clear, extreme(min, [x[4] for x in entries]),
+                    extreme(max, [x[5] for x in entries]),
+                    sum(clear // x[1] * x[2] for x in entries)]
+        else:
+            col += [1, 0, 0, 0]
+    rows = []
+    for (scalar, cols, dims), den in zip((a, b), dens):
+        const = entry([(polys[id(scalar.num)], 1)] + [(polys[k], e - den.get(k, 0))
+                                                      for k, e in top.items()
+                                                      if e > den.get(k, 0)])
+        scale, bound, lo, hi = const[1], const[3], const[4], const[5]
+        for c in cols:
+            _, _, clear, least, most, norm = columns[id(c)]
+            scale *= clear
+            bound *= norm
+            lo += least
+            hi += most
+        rows.append((const[0], scale, bound, lo, hi, cols, dims))
+    big = math.lcm(rows[0][1], rows[1][1])
+    w = (2 * sum(big // row[1] * row[2] for row in rows)).bit_length()
+    origin = extreme(min, [row[3] for row in rows])
+    # every exponent a slot is counted from: each key above its
+    # polynomial's least, each coefficient above its series' least, each
+    # side above the least of both
+    steps = [x[4] - col[3] for col in columns.values() for x in col[1].values()]
+    steps += [row[3] - origin for row in rows]
+    gcds = [math.gcd(*(r[7][i] for r in polys.values() if len(r[7]) > i),
+                     *(steps if naxes == 1 else _digits(steps, i))) or 1
+            for i in range(naxes)]
+    widths = [w]
+    for i in range(naxes - 1):
+        span = max(_digits([row[4] - origin for row in rows], i)) // gcds[i]
+        widths.append(widths[-1] * (span + 1))
+
+    def offsets(xs, base: int) -> list:
+        """The bit offsets of packed keys xs above the packed key base."""
+        if naxes == 1:
+            g = gcds[0]
+            return [(x - base) // g * w for x in xs]
+        xs = [x - base for x in xs]
+        out = [0] * len(xs)
+        for i in range(naxes):
+            g, sw = gcds[i], widths[i]
+            out = [o + d // g * sw for o, d in zip(out, _digits(xs, i))]
+        return out
+
+    ints: dict = {}
+
+    def packed(parts: list, scale: int, lo: int, base: int) -> int:
+        """scale times the packed product of parts, its least exponent lo
+        placed above base."""
+        for r, j in parts:
+            y = ints.get(id(r))
+            if y is None:
+                y = ints[id(r)] = sum(map(operator.lshift, r[1], offsets(r[0], r[5])))
+            scale *= y ** j if j > 1 else y
+        return scale << offsets((lo,), base)[0]
+
+    for col in columns.values():
+        col.append({k: packed(x[0], col[2] // x[1], x[4], col[3]) for k, x in col[1].items()})
+    sides = []
+    for parts, scale, _, lo, _, cols, dims in rows:
+        fs = [(c, columns[id(c)][6]) for c in cols]
+        if not fs:
+            acc = {(): 1}
+        elif len(fs) > 1 and fs[1][0] is fs[0][0]:
+            (c, p), fs = fs[0], fs[2:]
+            acc = {}
+            for kk, v1, v2, twice in _pairs(c, None, dims):
+                x = p[id(v1)] * p[id(v2)]
+                acc[kk] = acc.get(kk, 0) + (2 * x if twice else x)
+        else:
+            (c, p), fs = fs[0], fs[1:]
+            acc = {k: p[id(v)] for k, v in c.items()}
+        for c, p in fs:
+            out: dict = {}
+            for kk, x, v, _ in _pairs(acc, c, dims):
+                out[kk] = out.get(kk, 0) + x * p[id(v)]
+            acc = out
+        sides.append((packed(parts, big // scale, lo, origin), acc))
+    (ba, xa), (bb, xb) = sides
+    return all(ba * xa.get(k, 0) == bb * xb.get(k, 0) for k in xa.keys() | xb.keys())
 
 
 class QSeries(MultiQSeries):

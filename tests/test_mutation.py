@@ -265,9 +265,9 @@ def test_pair_series_placed_one_axis_short_of_its_ray_is_caught(mutate, tmp_path
 
 
 def test_lazy_square_without_doubled_cross_terms_is_caught(mutate, tmp_path, capsys):
-    # the cross-multiplied x * x keeps each off-diagonal pair of keys once
-    mutant = source_mutant(series.Product._terms, "num.scale(2) if twice else num", "num")
-    mutate(series.Product, "_terms", mutant)
+    # the packed x * x keeps each off-diagonal pair of keys once
+    mutant = source_mutant(series._cross_equal, "(2 * x if twice else x)", "x")
+    mutate(series, "_cross_equal", mutant)
     assert tiny_failures("sun", tmp_path, capsys)[0] > 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert "squared-chain-rank3" in {e["id"] for e in doc["entries"] if e["status"] == "fail"}
@@ -281,14 +281,23 @@ def test_pair_enumerator_without_the_diagonal_is_caught(mutate, tmp_path, capsys
 
 
 def test_common_denominator_of_one_side_is_caught(mutate, tmp_path, capsys):
-    # same(ktilde_brute, kgen_closed) reaches Product.__eq__ reflected, so b
-    # holds the brute side's terms: the denominator is taken from them
-    # alone, and factors only the closed side's terms carry are never
-    # expanded.  At TINY_SIZES (dims (1, 1)) both sides carry the same
-    # largest exponents at every key, so the mutant needs dims (2, 2).
-    mutant = source_mutant(series._cross_equal, "for _, d in a + b:", "for _, d in b:")
+    # same(ktilde_brute, kgen_closed) reaches Product.__eq__ reflected, so
+    # the second side is the brute one: the common factor multiset is taken
+    # from it alone, and factors only the closed side carries are never
+    # multiplied into the brute side
+    mutant = source_mutant(series._cross_equal, "top = dict(dens[0])", "top = dict(dens[1])")
     mutate(series, "_cross_equal", mutant)
-    sizes = ["--max-weight", "1", "--qdeg", "2"]
-    assert tiny_failures("kgen", tmp_path, capsys, sizes)[0] > 0
+    assert tiny_failures("kgen", tmp_path, capsys)[0] > 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert "chain-closed-form-rank3" in {e["id"] for e in doc["entries"] if e["status"] == "fail"}
+
+
+def test_packing_without_the_origin_shift_is_caught(mutate, tmp_path, capsys):
+    # every packed coefficient stays at its own least exponent, so products
+    # of coefficients whose least exponents differ are added misaligned,
+    # and the two sides compared misaligned
+    mutant = source_mutant(series._cross_equal, "return scale << offsets((lo,), base)[0]",
+                           "return scale")
+    mutate(series, "_cross_equal", mutant)
+    assert tiny_failures("kgen", tmp_path, capsys)[0] > 0
+    assert tiny_failures("sun", tmp_path, capsys)[0] > 0

@@ -10,12 +10,13 @@ wrong cancellation or re-canonicalization shows up there.  The kernel's
 own == is held to the same test.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexcalc.series import LaurentFraction, LaurentPoly
+from vertexcalc.series import LaurentFraction, LaurentPoly, MultiQSeries, Product
 
 sp = pytest.importorskip("sympy")
 
@@ -216,6 +217,38 @@ def test_division_by_a_one_term_numerator_matches_sympy(dc):
     r = lmul(*(lpow(binomial(b, j), m * d) for b, j, m, d in fs))
     assert same(fa / divisor, (lmul(p, r), lmul(q, laurent({k: c}))))
     assert fa / divisor == fa * divisor.inv()
+
+
+@given(st.lists(cases(), min_size=1, max_size=2), st.lists(cases(), min_size=1, max_size=2),
+       st.sampled_from([(1,), (2,), (1, 1)]), st.booleans(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_product_equality_matches_sympy(xs, ys, dims, square, data):
+    # Product(x, x) or Product(x, y) against its value, each coefficient
+    # of which sympy confirms from the data; then that value off by one
+    # at one key, which the comparison must reject
+    keys = list(itertools.product(*(range(d + 1) for d in dims)))
+    refs = [dict(zip(keys, xs)), dict(zip(keys[::-1], ys))]
+    x, y = (MultiQSeries(dims, {k: kernel(c) for k, c in r.items()}) for r in refs)
+    pick = [0, 0] if square else [0, 1]
+    want: dict = {}
+    for ka, kb in itertools.product(refs[pick[0]], refs[pick[1]]):
+        key = tuple(a + b for a, b in zip(ka, kb))
+        if all(k <= d for k, d in zip(key, dims)):
+            (pa, qa), (pb, qb) = reference(refs[pick[0]][ka]), reference(refs[pick[1]][kb])
+            term = lmul(pa, pb), lmul(qa, qb)
+            if key in want:
+                (p0, q0), (p1, q1) = want[key], term
+                term = ladd(lmul(p0, q1), lmul(p1, q0)), lmul(q0, q1)
+            want[key] = term
+    prod = Product(x, x) if square else Product(x, y)
+    value = prod.value()
+    assert value.c.keys() <= want.keys()
+    assert all(same(value.get(k), ref) for k, ref in want.items())
+    assert prod == value
+    key = data.draw(st.sampled_from(keys))
+    off = value + MultiQSeries(dims, {key: 1})
+    assert not same(off.get(key), want.get(key, (laurent({}), ONE)))
+    assert prod != off
 
 
 def series_coeffs(expr, deg: int) -> dict:

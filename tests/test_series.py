@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -588,6 +589,167 @@ def test_a_disagreeing_comparator_never_passes(monkeypatch):
         same(Product(x, x), x * x)
     with pytest.raises(ArithmeticError):
         same(x * x, Product(x, x, scalar=1))
+
+
+# Canonical factors for the kernel cases: binomials and a trinomial, one
+# with a negative axis-0 exponent beside a positive axis-1 one, and some
+# with Fraction coefficients.
+KERNEL_FACTORS = [LaurentPoly({(): 1, (1,): -1}), LaurentPoly({(): 1, (2,): -1}),
+                  LaurentPoly({(): 1, (1,): Fraction(1, 2)}),
+                  LaurentPoly({(): 1, (1,): 1, (2,): Fraction(-2, 3)}),
+                  LaurentPoly({(): 1, (0, 1): -1}),
+                  LaurentPoly({(): 1, (-1, 1): Fraction(3, 4)})]
+
+
+def reference_cross_equal(a, b) -> bool:
+    """The kernel's verdict by dict-polynomial cross-multiplication: at each
+    key every choice of one coefficient per factor is multiplied out, both
+    sides go over the largest exponent of each denominator factor over the
+    terms of both, and the numerators are compared as polynomials."""
+    def expand(den):
+        out = LaurentPoly.one()
+        for f, e in den.items():
+            out = out * f ** e
+        return out
+
+    def terms(side) -> dict:
+        scalar, factors, dims = side
+        out: dict = {}
+        for combo in itertools.product(*(f.items() for f in factors)):
+            key = tuple(map(sum, zip(*(k for k, _ in combo)))) if combo else ()
+            if all(k <= d for k, d in zip(key, dims)):
+                num, den = scalar.num, dict(scalar.den)
+                for _, v in combo:
+                    num = num * v.num
+                    for f, e in v.den.items():
+                        den[f] = den.get(f, 0) + e
+                out.setdefault(key, []).append((num, den))
+        return out
+
+    ta, tb = terms(a), terms(b)
+    for key in ta.keys() | tb.keys():
+        sides = [ta.get(key, []), tb.get(key, [])]
+        top: dict = {}
+        for _, den in sides[0] + sides[1]:
+            for f, e in den.items():
+                top[f] = max(top.get(f, 0), e)
+        nums = []
+        for parts in sides:
+            acc = LaurentPoly.zero()
+            for num, den in parts:
+                acc = acc + num * expand({f: e - den.get(f, 0) for f, e in top.items()})
+            nums.append(acc)
+        if nums[0] != nums[1]:
+            return False
+    return True
+
+
+@st.composite
+def kernel_fractions(draw, naxes):
+    """A fraction with int or Fraction coefficients, exponents -3..3 on
+    naxes axes, over up to two factors; its numerator may be zero."""
+    keys = st.tuples(*[st.integers(-3, 3)] * naxes)
+    coeffs = st.one_of(st.integers(-4, 4).filter(bool),
+                       st.fractions(-3, 3, max_denominator=4).filter(bool))
+    num = draw(st.dictionaries(keys, coeffs, max_size=3))
+    pool = KERNEL_FACTORS if naxes > 1 else KERNEL_FACTORS[:4]
+    den = {f: draw(st.integers(1, 2)) for f in draw(st.sets(st.sampled_from(pool), max_size=2))}
+    return LaurentFraction(LaurentPoly(num), den)
+
+
+@st.composite
+def kernel_sides(draw, naxes, dims):
+    """A kernel side (scalar, factors, dims): 0 to 3 series on dims with
+    1 to 3 nonzero coefficients each, the second sometimes the first
+    again (a square); the scalar may be zero."""
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        if len(factors) == 1 and draw(st.booleans()):
+            factors.append(factors[0])
+            continue
+        keys = draw(st.lists(st.tuples(*(st.integers(0, d) for d in dims)),
+                             min_size=1, max_size=3, unique=True))
+        values = [draw(kernel_fractions(naxes).filter(bool)) for _ in keys]
+        factors.append(dict(zip(keys, values)))
+    return draw(kernel_fractions(naxes)), factors, dims
+
+
+def evaluated_side(side) -> dict:
+    """The side's value at each key, by the series arithmetic."""
+    scalar, factors, dims = side
+    if not factors:
+        return {(): scalar} if scalar else {}
+    out = MultiQSeries(dims, factors[0])
+    for f in factors[1:]:
+        out = out * MultiQSeries(dims, f)
+    return out.scale(scalar).c if scalar else {}
+
+
+@st.composite
+def kernel_cases(draw):
+    """Two kernel sides: independent, or the second the first's values
+    (equal), those values off by a monomial at one key, or all of them
+    times a monomial; the values are sometimes left over one more factor."""
+    naxes = draw(st.integers(1, 2))
+    dims = draw(st.sampled_from([(2,), (1, 1)]))
+    a = draw(kernel_sides(naxes, dims))
+    kind = draw(st.sampled_from(["other", "equal", "off", "shifted"]))
+    if kind == "other":
+        return a, draw(kernel_sides(naxes, dims if a[1] else draw(st.sampled_from([(), dims]))))
+    values = evaluated_side(a)
+    if kind == "shifted":
+        step = draw(st.tuples(*[st.integers(-2, 2)] * naxes))
+        values = {k: v.shift(step) for k, v in values.items()}
+    elif kind == "off":
+        key = (0,) * len(a[2]) if not a[1] else draw(st.sampled_from(sorted(
+            itertools.product(*(range(d + 1) for d in dims)))))
+        bump = LaurentFraction.monomial(draw(st.sampled_from([1, Fraction(-1, 2)])),
+                                        draw(st.tuples(*[st.integers(-3, 3)] * naxes)))
+        values[key if a[1] else ()] = values.get(key if a[1] else (), LaurentFraction.zero()) + bump
+    if draw(st.booleans()):
+        # the same values over a larger denominator, left unreduced
+        f = draw(st.sampled_from(KERNEL_FACTORS if naxes > 1 else KERNEL_FACTORS[:4]))
+        values = {k: LaurentFraction(v.num * f, {**v.den, f: v.den.get(f, 0) + 1})
+                  for k, v in values.items()}
+    values = {k: v for k, v in values.items() if v}
+    if not a[1]:
+        return a, (values.get((), LaurentFraction.zero()), [], ())
+    return a, (LaurentFraction.one(), [values], dims)
+
+
+@given(kernel_cases(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_packed_comparison_matches_dict_cross_multiplication(case, swap):
+    a, b = case[::-1] if swap else case
+    assert series._cross_equal(a, b) is reference_cross_equal(a, b)
+
+
+def test_packed_comparison_of_zero_sides():
+    x = LaurentFraction(LaurentPoly({(1,): 2}), {KERNEL_FACTORS[2]: 1})
+    one = LaurentFraction.one()
+    zero = (LaurentFraction.zero(), [], ())
+    assert series._cross_equal(zero, (one, [{}], (2,)))
+    assert series._cross_equal((one, [{}], (2,)), (x, [{}, {(1,): x}], (2,)))
+    assert not series._cross_equal((x, [], ()), zero)
+    assert not series._cross_equal((one, [{(0,): x}], (2,)), (one, [{}], (2,)))
+    assert series._cross_equal((one, [{(0,): x}, {(0,): x}], (2,)), (x * x, [], (2,))) is False
+    assert series._cross_equal((one, [{(0,): x}, {(0,): x}], (2,)),
+                               (x * x, [{(0,): one}], (2,)))
+
+
+@pytest.mark.parametrize("step", [(1,), (2,), (0, 1), (-1, 1)])
+def test_packing_never_aliases_adjacent_slots(step):
+    # n * (1 - X**step) / (1 - X**step) - n * X**step has coefficients
+    # n, -n and -1 at exponents 0, step and 2 * step; packed with slots of
+    # w bits, n = 2**w would make it vanish at X**step = 2**w.  The sides
+    # differ for every n, so no slot width may alias them.
+    f = LaurentPoly({(): 1, step: -1})
+    for k in range(0, 130):
+        for n in (1 << k, -(1 << k)):
+            lhs = LaurentFraction(LaurentPoly({(): n, step: -n}), {f: 1})
+            rhs = LaurentFraction.monomial(1, step)
+            assert lhs != rhs
+            assert lhs == LaurentFraction.const(n)
 
 
 def test_expand_in_q_geometric():
