@@ -37,7 +37,7 @@ is a ring map, so such a factor cannot divide a numerator whose
 coefficients do not sum to 0; that division is not attempted, since it
 could only fail, and the result is the same.
 LaurentFraction.sum brings many terms over one lcm and reduces once, and
-a + b is its two-term case; _over adds the numerators over that lcm.
+a + b is its two-term case.
 Scaling by a number, and a product with a one-term polynomial, keep int
 coefficients in ints: an int v times p/q is (v * p) // q when q divides
 v * p, and a Fraction only when it does not, so a scalar such as 1/2**k
@@ -92,6 +92,7 @@ import itertools
 import json
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
@@ -626,7 +627,13 @@ class LaurentFraction:
         for t in terms[1:]:
             factors |= set(t.den)
         den = {f: max(t.den.get(f, 0) for t in terms) for f in factors}
-        return cls._make(_over([(t.num, t.den) for t in terms], den), den)
+        acc: dict = {}
+        for t in terms:
+            missing = {f: e - t.den.get(f, 0) for f, e in den.items() if e > t.den.get(f, 0)}
+            num = t.num * _den_expand(missing) if missing else t.num
+            for k, v in num._t.items():
+                acc[k] = acc.get(k, 0) + v
+        return cls._make(LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v}), den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -795,8 +802,8 @@ def _pairs(a: Mapping, b: Mapping | None, dims):
     items = list(a.items())
     for i, (k1, v1) in enumerate(items):
         for j, (k2, v2) in enumerate(items[i:] if b is None else b.items()):
-            kk = tuple(map(operator.add, k1, k2))
-            if all(map(operator.le, kk, dims)):
+            kk = tuple(x + y for x, y in zip(k1, k2))
+            if not any(s > d for s, d in zip(kk, dims)):
                 yield kk, v1, v2, b is None and j > 0
 
 
@@ -984,38 +991,45 @@ def _den_sum(a: dict, b: dict) -> dict:
     return out
 
 
-def _over(terms: list, den: dict) -> LaurentPoly:
-    """The numerator of the sum of terms over the factor multiset den,
-    which each term's multiset divides.
+# What packing a polynomial needs, kept in its _k slot: its coefficients
+# times their common denominator clear, as ints; their L1 norm and largest
+# magnitude; the least and the greatest exponent on each axis, as packed
+# keys; on each axis the gcd of the exponents above the least one; and on
+# each axis, in term order, each exponent above the least one in units of
+# that gcd.  Zero has norm 0 and no axes.
+_Packing = namedtuple("_Packing", "ints clear norm peak lo hi gcds units")
 
-    The numerators are added in the order of the terms; a lone term's
-    polynomial is taken as it is, without copying it.
-    """
-    acc: dict = {}
-    for num, d in terms:
-        missing = {f: e - d.get(f, 0) for f, e in den.items() if e > d.get(f, 0)}
-        out = num * _den_expand(missing) if missing else num
-        if len(terms) != 1:
-            for k, v in out._t.items():
-                acc[k] = acc.get(k, 0) + v
-    if len(terms) != 1:
-        out = LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v})
-    return out
+# A product of (packing, power) parts, the first a numerator of power 1,
+# before it is packed: the product of the parts' clears, bounds on its L1
+# norm and on its largest coefficient, and its least and greatest
+# exponents on each axis, as packed keys.
+_Entry = namedtuple("_Entry", "parts clear norm peak lo hi")
+
+# A coefficient dict over one factor multiset: top is that multiset, D_i,
+# as {id(factor): exponent}; entries maps id(v) to the _Entry of v's
+# numerator times the factors of D_i that v lacks; clear is the lcm of
+# their clears, norm the sum of their L1 bounds at the scale clear, and
+# ref the least exponent of the first entry, which the others' are
+# counted from.
+_Column = namedtuple("_Column", "top entries clear norm ref")
+
+# One side of a comparison before packing: const is the _Entry of its
+# scalar's numerator times the factors of the common multiset the side
+# lacks, scale the product of its clears, bound a bound on its
+# coefficients at every key, and ref the sum of const's least exponent
+# and its columns' refs.
+_Side = namedtuple("_Side", "const scale bound ref cols dims")
 
 
-def _packing(p: LaurentPoly) -> tuple:
-    """What packing p needs: (p's term dict, its coefficients times their
-    common denominator, as ints; that denominator; the ints' L1 norm and
-    largest magnitude; the least and the greatest exponent of each axis,
-    as packed keys; on each axis, the gcd of the exponents above the
-    least one).  Zero has norm 0.  Computed once per polynomial, in its _k slot."""
+def _packing(p: LaurentPoly) -> _Packing:
+    """p's _Packing, computed once and kept in p's _k slot."""
     try:
         return p._k
     except AttributeError:
         pass
     t = p._t
     if not t:
-        p._k = t, [], 1, 0, 0, 0, 0, ()
+        p._k = _Packing([], 1, 0, 0, 0, 0, (), ())
         return p._k
     vals = list(t.values())
     clear = 1
@@ -1023,16 +1037,55 @@ def _packing(p: LaurentPoly) -> tuple:
         clear = math.lcm(*(v.denominator for v in vals if type(v) is Fraction))
         vals = [int(v * clear) for v in vals]
     mags = list(map(abs, vals))
-    lo, hi = min(t), max(t)
-    naxes = max(-lo, hi).bit_length() // DIGIT_BITS + 1
-    if naxes == 1:
-        p._k = t, vals, clear, sum(mags), max(mags), lo, hi, (math.gcd(*(k - lo for k in t)),)
-    else:
-        axes = [_digits(t, i) for i in range(naxes)]
-        los = [min(d) for d in axes]
-        p._k = (t, vals, clear, sum(mags), max(mags), pack(los), pack([max(d) for d in axes]),
-                tuple(math.gcd(*(e - m for e in d)) for d, m in zip(axes, los)))
+    axes = [_digits(t, i) for i in range(max(-min(t), max(t)).bit_length() // DIGIT_BITS + 1)]
+    los = [min(d) for d in axes]
+    steps = [[e - m for e in d] for d, m in zip(axes, los)]
+    gcds = tuple(math.gcd(*d) for d in steps)
+    p._k = _Packing(vals, clear, sum(mags), max(mags), pack(los), pack([max(d) for d in axes]),
+                    gcds, tuple([e // g for e in d] if g > 1 else d for d, g in zip(steps, gcds)))
     return p._k
+
+
+def _entry(parts: list) -> _Entry:
+    """The _Entry of the product of (packing, power) parts.
+
+    Its largest coefficient is at most the first part's largest one times
+    the other parts' L1 norms."""
+    clear = norm = 1
+    lo = hi = 0
+    for r, j in parts:
+        clear *= r.clear ** j
+        norm *= r.norm ** j
+        lo += r.lo * j
+        hi += r.hi * j
+    first = parts[0][0]
+    return _Entry(parts, clear, norm, norm // first.norm * first.peak if norm else 0, lo, hi)
+
+
+def _column(c: dict, factors: dict) -> _Column:
+    """The _Column of the coefficient dict c; each denominator factor it
+    meets is entered in factors under its id."""
+    top: dict = {}
+    for v in c.values():
+        for f, e in v.den.items():
+            if e > top.get(id(f), 0):
+                top[id(f)] = e
+                factors[id(f)] = f
+    packings = {k: _packing(factors[k]) for k in top}
+    entries = {}
+    for v in c.values():
+        lack = dict(top)
+        for f, e in v.den.items():
+            lack[id(f)] -= e
+        entries[id(v)] = _entry([(_packing(v.num), 1)]
+                                + [(packings[k], e) for k, e in lack.items() if e])
+    if not entries:
+        # an empty series is zero, of norm 0
+        return _Column(top, entries, 1, 0, 0)
+    xs = entries.values()
+    clear = math.lcm(*(x.clear for x in xs))
+    return _Column(top, entries, clear, sum(clear // x.clear * x.norm for x in xs),
+                   next(iter(xs)).lo)
 
 
 def _cross_equal(a: tuple, b: tuple) -> bool:
@@ -1052,161 +1105,129 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
     an int, its coefficients in slots of w bits: a key's slot is its
     exponent above the polynomial's least one in units of g_i, the gcd of
     every exponent step on axis i, and the axes lie in strides wide
-    enough for any product formed here (multivariate Kronecker
+    enough for the box of both sides (multivariate Kronecker
     substitution), so the int is the polynomial's value at t**g_0 = 2**w
-    and packing is a ring map on those products and sums.  A coefficient
-    of factor i is packed as its numerator over D_i times the factors it
-    lacks, shifted up from the least exponent over factor i's
-    coefficients; a side's scalar numerator, times the factors of D the
-    side lacks, carries the side's shift up from the least exponent of
-    both sides.  The factors' packed coefficients are then multiplied as
-    the series are, through _pairs (x * x by symmetry, doubling each
-    off-diagonal pair), so no product is reduced or multiplied out as a
-    polynomial.
+    and packing is a ring map on those products and sums.  A monomial
+    X**k is the power of two at k's bit offset, the sum over the axes of
+    k_i / g_i strides; it may be negative.  A coefficient of factor i is
+    packed as its numerator over D_i times the factors it lacks, times
+    the monomial of its least exponent, and the factor's coefficients are
+    shifted by one power of two to the least of those offsets; a side's
+    scalar numerator, times the factors of D the side lacks, is the
+    packed coefficient of the one-key series it makes.  The factors'
+    packed coefficients are then multiplied as the series are, through
+    _pairs (x * x by symmetry, doubling each off-diagonal pair), so no
+    product is reduced or multiplied out as a polynomial, and the side
+    whose product carries the higher power of two is shifted up to the
+    other's.
 
     w is chosen with 2 * B < 2**w, B bounding every coefficient of
     either side at any key: a product's coefficients are at most the
     largest magnitude of one factor times the L1 norms of the others, and
     each key's sum takes one coefficient of each factor per term.  Equal
-    ints then mean equal numerators: the lowest nonzero coefficient of a
-    nonzero difference would be a multiple of 2**w.
+    ints then mean equal numerators: every exponent of the box of both
+    sides has its own multiple of w as bit offset, so the lowest nonzero
+    coefficient of a nonzero difference would be a multiple of 2**w.
     """
-    polys: dict = {}
+    factors: dict = {}
     columns: dict = {}
-
-    def entry(parts: list) -> tuple:
-        """(parts, scale, L1 bound, largest-magnitude bound, least and
-        greatest exponents) of the product of (packing, power) pairs."""
-        clear = norm = 1
-        lo = hi = 0
-        for r, j in parts:
-            clear *= r[2] ** j
-            norm *= r[3] ** j
-            lo += r[5] * j
-            hi += r[6] * j
-        peak = norm // parts[0][0][3] * parts[0][0][4] if parts and norm else norm
-        return parts, clear, norm, peak, lo, hi
-
-    def column(c: dict) -> list:
-        """[D_i as {id(factor): exponent}, {id(v): entry of v's numerator
-        times the factors of D_i that v lacks}], once per coefficient dict."""
-        out = columns.get(id(c))
-        if out is None:
-            top: dict = {}
-            for v in c.values():
-                for f, e in v.den.items():
-                    k = id(f)
-                    if e > top.get(k, 0):
-                        top[k] = e
-                        polys[k] = _packing(f)
-            data = {}
-            for v in c.values():
-                r = polys[id(v.num)] = _packing(v.num)
-                lack = dict(top)
-                for f, e in v.den.items():
-                    lack[id(f)] -= e
-                data[id(v)] = entry([(r, 1)] + [(polys[k], e) for k, e in lack.items() if e])
-            out = columns[id(c)] = [top, data]
-        return out
-
     dens = []
     for scalar, cols, _ in (a, b):
-        polys[id(scalar.num)] = _packing(scalar.num)
         den: dict = {}
         for f, e in scalar.den.items():
             den[id(f)] = e
-            polys[id(f)] = _packing(f)
+            factors[id(f)] = f
         for c in cols:
-            for k, e in column(c)[0].items():
+            col = columns.get(id(c))
+            if col is None:
+                col = columns[id(c)] = _column(c, factors)
+            for k, e in col.top.items():
                 den[k] = den.get(k, 0) + e
         dens.append(den)
     top = dict(dens[0])
     for k, e in dens[1].items():
         if e > top.get(k, 0):
             top[k] = e
-    naxes = max(1, *map(len, (r[7] for r in polys.values())))
-
-    def extreme(pick, xs: list) -> int:
-        """The packed key of the least (pick=min) or greatest (max) exponent per axis."""
-        if naxes == 1:
-            return pick(xs)
-        return sum(pick(_digits(xs, i)) << (DIGIT_BITS * i) for i in range(naxes))
-
-    # each column record gains its scale, least and greatest exponents and
-    # summed L1 bound; an empty series is zero, of bound 0
-    for col in columns.values():
-        entries = col[1].values()
-        if entries:
-            clear = math.lcm(*(x[1] for x in entries))
-            col += [clear, extreme(min, [x[4] for x in entries]),
-                    extreme(max, [x[5] for x in entries]),
-                    sum(clear // x[1] * x[2] for x in entries)]
-        else:
-            col += [1, 0, 0, 0]
-    rows = []
+    sides = []
     for (scalar, cols, dims), den in zip((a, b), dens):
-        const = entry([(polys[id(scalar.num)], 1)] + [(polys[k], e - den.get(k, 0))
+        const = _entry([(_packing(scalar.num), 1)] + [(_packing(factors[k]), e - den.get(k, 0))
                                                       for k, e in top.items()
                                                       if e > den.get(k, 0)])
-        scale, bound, lo, hi = const[1], const[3], const[4], const[5]
+        scale, bound, ref = const.clear, const.peak, const.lo
         for c in cols:
-            _, _, clear, least, most, norm = columns[id(c)]
-            scale *= clear
-            bound *= norm
-            lo += least
-            hi += most
-        rows.append((const[0], scale, bound, lo, hi, cols, dims))
-    big = math.lcm(rows[0][1], rows[1][1])
-    w = (2 * sum(big // row[1] * row[2] for row in rows)).bit_length()
-    origin = extreme(min, [row[3] for row in rows])
-    # every exponent a slot is counted from: each key above its
-    # polynomial's least, each coefficient above its series' least, each
-    # side above the least of both
-    steps = [x[4] - col[3] for col in columns.values() for x in col[1].values()]
-    steps += [row[3] - origin for row in rows]
-    gcds = [math.gcd(*(r[7][i] for r in polys.values() if len(r[7]) > i),
-                     *(steps if naxes == 1 else _digits(steps, i))) or 1
-            for i in range(naxes)]
+            col = columns[id(c)]
+            scale *= col.clear
+            bound *= col.norm
+            ref += col.ref
+        sides.append(_Side(const, scale, bound, ref, cols, dims))
+    big = math.lcm(sides[0].scale, sides[1].scale)
+    w = (2 * sum(big // s.scale * s.bound for s in sides)).bit_length()
+    # g_i divides every exponent step: each key of a packed polynomial
+    # above its least, each coefficient above its series' ref, and one
+    # side's ref above the other's
+    entries = [s.const for s in sides]
+    steps = [sides[0].ref - sides[1].ref]
+    for col in columns.values():
+        entries += col.entries.values()
+        steps += [x.lo - col.ref for x in col.entries.values()]
+    own = itertools.zip_longest(*{id(r): r.gcds for x in entries for r, _ in x.parts}.values(),
+                                fillvalue=0)
+    gcds = [math.gcd(*d, *_digits(steps, i)) or 1 for i, d in enumerate(own)]
+    # axis i's stride spans the exponents of axis i in the box of both
+    # sides; a side's terms lie between the sums, over its scalar and
+    # its series, of their least and greatest exponents there
     widths = [w]
-    for i in range(naxes - 1):
-        span = max(_digits([row[4] - origin for row in rows], i)) // gcds[i]
+    for i in range(len(gcds) - 1):
+        ends = []
+        for s in sides:
+            groups = [[s.const]] + [columns[id(c)].entries.values() for c in s.cols]
+            ends += [sum(min(_digits([x.lo for x in xs], i)) for xs in groups if xs),
+                     sum(max(_digits([x.hi for x in xs], i)) for xs in groups if xs)]
+        span = (max(ends[1::2]) - min(ends[::2])) // gcds[i]
         widths.append(widths[-1] * (span + 1))
 
-    def offsets(xs, base: int) -> list:
-        """The bit offsets of packed keys xs above the packed key base."""
-        if naxes == 1:
-            g = gcds[0]
-            return [(x - base) // g * w for x in xs]
-        xs = [x - base for x in xs]
-        out = [0] * len(xs)
-        for i in range(naxes):
-            g, sw = gcds[i], widths[i]
-            out = [o + d // g * sw for o, d in zip(out, _digits(xs, i))]
+    def offsets(ds: list) -> list:
+        """The bit offsets of the monomials whose packed keys are ds."""
+        out = [0] * len(ds)
+        for i, (g, sw) in enumerate(zip(gcds, widths)):
+            out = [o + e // g * sw for o, e in zip(out, _digits(ds, i))]
         return out
 
     ints: dict = {}
 
-    def packed(parts: list, scale: int, lo: int, base: int) -> int:
-        """scale times the packed product of parts, its least exponent lo
-        placed above base."""
+    def packed(parts: list, scale: int, shift: int) -> int:
+        """scale times the packed product of parts, shifted up by shift bits."""
         for r, j in parts:
             y = ints.get(id(r))
             if y is None:
-                y = ints[id(r)] = sum(map(operator.lshift, r[1], offsets(r[0], r[5])))
+                # the bit offset of each term of r above r's least
+                slots = [0] * len(r.ints)
+                for units, step, g, sw in zip(r.units, r.gcds, gcds, widths):
+                    m = step // g * sw
+                    slots = [o + u * m for o, u in zip(slots, units)]
+                y = ints[id(r)] = sum(map(operator.lshift, r.ints, slots))
             scale *= y ** j if j > 1 else y
-        return scale << offsets((lo,), base)[0]
+        return scale << shift
 
-    for col in columns.values():
-        col.append({k: packed(x[0], col[2] // x[1], x[4], col[3]) for k, x in col[1].items()})
-    sides = []
-    for parts, scale, _, lo, _, cols, dims in rows:
-        fs = [(c, columns[id(c)][6]) for c in cols]
+    coeffs: dict = {}
+    lows: dict = {}
+    for k, col in columns.items():
+        ups = offsets([x.lo - col.ref for x in col.entries.values()])
+        low = lows[k] = min(ups, default=0)
+        coeffs[k] = {i: packed(x.parts, col.clear // x.clear, up - low)
+                     for (i, x), up in zip(col.entries.items(), ups)}
+    # the bits by which side 0's power of two exceeds side 1's
+    shift, = offsets([sides[0].ref - sides[1].ref])
+    shift += sum(lows[id(c)] for c in sides[0].cols) - sum(lows[id(c)] for c in sides[1].cols)
+    verdicts = []
+    for s, up in zip(sides, (max(shift, 0), max(-shift, 0))):
+        fs = [(c, coeffs[id(c)]) for c in s.cols]
         if not fs:
             acc = {(): 1}
         elif len(fs) > 1 and fs[1][0] is fs[0][0]:
             (c, p), fs = fs[0], fs[2:]
             acc = {}
-            for kk, v1, v2, twice in _pairs(c, None, dims):
+            for kk, v1, v2, twice in _pairs(c, None, s.dims):
                 x = p[id(v1)] * p[id(v2)]
                 acc[kk] = acc.get(kk, 0) + (2 * x if twice else x)
         else:
@@ -1214,11 +1235,11 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
             acc = {k: p[id(v)] for k, v in c.items()}
         for c, p in fs:
             out: dict = {}
-            for kk, x, v, _ in _pairs(acc, c, dims):
+            for kk, x, v, _ in _pairs(acc, c, s.dims):
                 out[kk] = out.get(kk, 0) + x * p[id(v)]
             acc = out
-        sides.append((packed(parts, big // scale, lo, origin), acc))
-    (ba, xa), (bb, xb) = sides
+        verdicts.append((packed(s.const.parts, big // s.scale, up), acc))
+    (ba, xa), (bb, xb) = verdicts
     return all(ba * xa.get(k, 0) == bb * xb.get(k, 0) for k in xa.keys() | xb.keys())
 
 

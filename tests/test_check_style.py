@@ -129,24 +129,18 @@ def test_memo_tables_are_module_dicts_named_cache():
 
 
 def summed_key(node) -> bool:
-    """Whether node is tuple(a + b for a, b in zip(...)) or
-    tuple(map(operator.add, ...)), two keys added."""
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "tuple" and len(node.args) == 1):
-        return False
-    arg = node.args[0]
-    if isinstance(arg, ast.GeneratorExp):
-        return isinstance(arg.elt, ast.BinOp) and isinstance(arg.elt.op, ast.Add)
-    return (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
-            and arg.func.id == "map" and bool(arg.args)
-            and isinstance(arg.args[0], ast.Attribute) and arg.args[0].attr == "add")
+    """Whether node is tuple(a + b for a, b in zip(...)), two keys added."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple" and len(node.args) == 1
+            and isinstance(node.args[0], ast.GeneratorExp)
+            and isinstance(node.args[0].elt, ast.BinOp)
+            and isinstance(node.args[0].elt.op, ast.Add))
 
 
 def zips_dims(node) -> bool:
-    """Whether node is a zip(...) or map(...) call with dims or an
-    attribute .dims among its arguments."""
+    """Whether node is a zip(...) call with dims or an attribute .dims among its arguments."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("zip", "map")
+            and node.func.id == "zip"
             and any((isinstance(a, ast.Name) and a.id == "dims")
                     or (isinstance(a, ast.Attribute) and a.attr == "dims") for a in node.args))
 

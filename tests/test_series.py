@@ -752,6 +752,24 @@ def test_packing_never_aliases_adjacent_slots(step):
             assert lhs == LaurentFraction.const(n)
 
 
+@pytest.mark.parametrize("odd", [(1,), (0, 1), (1, 1), (-1, 2)])
+def test_packing_keeps_odd_steps_between_even_polynomials(odd):
+    # every polynomial steps by 2 on each axis, so only the placement of
+    # one side, or of one coefficient, against another is odd: the slot
+    # unit must divide that step too, or X**odd packs as X**0
+    even = LaurentFraction(LaurentPoly({(): 1, (2,): 1, (0, 2): 1}))
+    moved = even.shift(odd)
+    one = LaurentFraction.one()
+    x = {(0,): even, (1,): even}
+    y = {(0,): even, (1,): moved}
+    for a, b in [((even, [], ()), (moved, [], ())),
+                 ((one, [{(0,): even}], (1,)), (one, [{(0,): moved}], (1,))),
+                 ((one, [x], (1,)), (one, [y], (1,)))]:
+        assert not series._cross_equal(a, b)
+        assert not series._cross_equal(b, a)
+    assert series._cross_equal((one, [y], (1,)), (one, [dict(y)], (1,)))
+
+
 def test_expand_in_q_geometric():
     t = LaurentFraction.monomial(1, (1,))
     s = LaurentFraction.monomial(1, (0, 1))
