@@ -24,7 +24,8 @@ with the sinh side left unevaluated too (sun_square_product: the rays of
 sun_pair_square, scaled by _sun_scalar).  The scalar's diagonal hook
 factors cancel only after reduction, so the evaluated side reduced every
 ray product and the scaling; series._cross_equal multiplies the rays on
-packed ints and reduces nothing.  sun_square_series is that value, for
+ints packed in t (every ray coefficient is a polynomial in t alone over
+its factors) and reduces nothing.  sun_square_series is that value, for
 the checks that scale or shift it further.  The brute side,
 ktilde_brute, sums the chain one link at a time over the partial sums of
 chain_links.

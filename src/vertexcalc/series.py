@@ -31,7 +31,7 @@ polynomial gcd: identical factors cancel syntactically, and each binomial
 factor 1 + v*X**k is divided out of the numerator exactly (synthetic
 division) whenever it divides.  The paper's identities are products of such
 binomials; a factor with more terms stays in the denominator, and equality
-stays exact because == cross-multiplies (_cross_equal, below).  Most
+stays exact because == cross-multiplies (see Product, below).  Most
 factors are 1 - X**k, which vanish at X = (1, ..., 1).  Evaluation at 1
 is a ring map, so such a factor cannot divide a numerator whose
 coefficients do not sum to 0; that division is not attempted, since it
@@ -65,17 +65,20 @@ then scaled), for anything that is rendered.  A check that only compares
 a product with a series, or with another product, does not need that
 normal form: Product's == hands both sides to _cross_equal, which brings
 each factor series over one factor multiset and both sides over a
-common one, and compares the numerators as Python ints.  Each polynomial
-is Kronecker-packed once, at t = 2**w with a slot width w that no
-coefficient of the difference can reach, so an int product is a
-polynomial product and equal ints are equal polynomials.  The series
-are then multiplied on their packed coefficients through _pairs, one
-int product per pair of keys, so a long product, a scaled one (the sinh
-side with its Q-free scalar) and one whose factors cancel only after
-reduction all compare without a reduction, a division attempt or a dict
-polynomial product.  LaurentFraction's == over equal factor multisets
-compares the numerators directly; over different ones it is the
-kernel's case of a scalar and no series.
+common one, and compares the numerators as Python ints.  Every
+coefficient it meets is a polynomial in t alone (one with an s exponent
+raises ValueError), and each is Kronecker-packed once, at t = 2**w with
+a slot width w that no coefficient of the difference can reach, so an
+int product is a polynomial product and equal ints are equal
+polynomials.  The series are then multiplied on their packed
+coefficients through _pairs, one int product per pair of keys, so a
+long product, a scaled one (the sinh side with its Q-free scalar) and
+one whose factors cancel only after reduction all compare without a
+reduction, a division attempt or a dict polynomial product.
+LaurentFraction's == needs no kernel and takes any number of axes: over
+equal factor multisets it compares the numerators, and otherwise it
+cross-multiplies them, each times the expanded factors of the larger
+multiset it lacks.
 
 same(lhs, rhs) is the one comparator every check goes through: it returns
 True when the sides are equal and otherwise raises Mismatch, naming the
@@ -502,6 +505,11 @@ def _factor_product(factors: frozenset) -> LaurentPoly:
     return out
 
 
+def _lacks(den: Mapping, top: Mapping) -> dict:
+    """The factors of top that den lacks, each with the exponent by which den falls short."""
+    return {f: e - den.get(f, 0) for f, e in top.items() if e > den.get(f, 0)}
+
+
 class LaurentFraction:
     """Quotient of Laurent polynomials with factored denominator.
 
@@ -629,7 +637,7 @@ class LaurentFraction:
         den = {f: max(t.den.get(f, 0) for t in terms) for f in factors}
         acc: dict = {}
         for t in terms:
-            missing = {f: e - t.den.get(f, 0) for f, e in den.items() if e > t.den.get(f, 0)}
+            missing = _lacks(t.den, den)
             num = t.num * _den_expand(missing) if missing else t.num
             for k, v in num._t.items():
                 acc[k] = acc.get(k, 0) + v
@@ -749,7 +757,9 @@ class LaurentFraction:
             return NotImplemented
         if self.den == o.den:
             return self.num._t == o.num._t
-        return _cross_equal((self, [], ()), (o, [], ()))
+        # both numerators over the larger of the two factor multisets
+        return ((self.num * _den_expand(_lacks(self.den, o.den)))._t
+                == (o.num * _den_expand(_lacks(o.den, self.den)))._t)
 
     __hash__ = None
 
@@ -788,7 +798,7 @@ class LaurentFraction:
 def _uni(p: LaurentPoly) -> dict[int, object]:
     """Terms keyed by the t exponent; a one-axis packed key is that exponent."""
     if any(not -_HALF <= k < _HALF for k in p._t):
-        raise ValueError("expansion needs a single-variable expression")
+        raise ValueError("needs a polynomial in t alone, with no s exponent")
     return p._t
 
 
@@ -936,10 +946,11 @@ class Product:
     value() is the product in normal form: the factors multiplied left to
     right (x * x squares by symmetry), then scaled by the scalar.  == and
     same() compare a Product with a series or another Product without
-    that normal form: _cross_equal multiplies the factors on packed
-    ints, each coefficient's numerator over its factor's common
+    that normal form: _cross_equal multiplies the factors on ints packed
+    in t, each coefficient's numerator over its factor's common
     denominator, and compares the two sides' numerators over a common
-    factor multiset exactly.
+    factor multiset exactly.  A coefficient or scalar with an s exponent
+    raises ValueError.
     """
 
     __slots__ = ("factors", "scalar", "dims")
@@ -991,19 +1002,17 @@ def _den_sum(a: dict, b: dict) -> dict:
     return out
 
 
-# What packing a polynomial needs, kept in its _k slot: its coefficients
-# times their common denominator clear, as ints; their L1 norm and largest
-# magnitude; the least and the greatest exponent on each axis, as packed
-# keys; on each axis the gcd of the exponents above the least one; and on
-# each axis, in term order, each exponent above the least one in units of
-# that gcd.  Zero has norm 0 and no axes.
-_Packing = namedtuple("_Packing", "ints clear norm peak lo hi gcds units")
+# What packing a polynomial in t needs, kept in its _k slot: its
+# coefficients times their common denominator clear, as ints; their L1
+# norm and largest magnitude; its least exponent lo; the gcd of its
+# exponents above lo; and, in term order, each exponent above lo in units
+# of that gcd.  Zero has norm 0 and no terms.
+_Packing = namedtuple("_Packing", "ints clear norm peak lo gcd units")
 
 # A product of (packing, power) parts, the first a numerator of power 1,
 # before it is packed: the product of the parts' clears, bounds on its L1
-# norm and on its largest coefficient, and its least and greatest
-# exponents on each axis, as packed keys.
-_Entry = namedtuple("_Entry", "parts clear norm peak lo hi")
+# norm and on its largest coefficient, and its least exponent.
+_Entry = namedtuple("_Entry", "parts clear norm peak lo")
 
 # A coefficient dict over one factor multiset: top is that multiset, D_i,
 # as {id(factor): exponent}; entries maps id(v) to the _Entry of v's
@@ -1022,14 +1031,15 @@ _Side = namedtuple("_Side", "const scale bound ref cols dims")
 
 
 def _packing(p: LaurentPoly) -> _Packing:
-    """p's _Packing, computed once and kept in p's _k slot."""
+    """p's _Packing, computed once and kept in p's _k slot; ValueError
+    when p has an s exponent."""
     try:
         return p._k
     except AttributeError:
         pass
-    t = p._t
+    t = _uni(p)
     if not t:
-        p._k = _Packing([], 1, 0, 0, 0, 0, (), ())
+        p._k = _Packing([], 1, 0, 0, 0, 0, [])
         return p._k
     vals = list(t.values())
     clear = 1
@@ -1037,12 +1047,11 @@ def _packing(p: LaurentPoly) -> _Packing:
         clear = math.lcm(*(v.denominator for v in vals if type(v) is Fraction))
         vals = [int(v * clear) for v in vals]
     mags = list(map(abs, vals))
-    axes = [_digits(t, i) for i in range(max(-min(t), max(t)).bit_length() // DIGIT_BITS + 1)]
-    los = [min(d) for d in axes]
-    steps = [[e - m for e in d] for d, m in zip(axes, los)]
-    gcds = tuple(math.gcd(*d) for d in steps)
-    p._k = _Packing(vals, clear, sum(mags), max(mags), pack(los), pack([max(d) for d in axes]),
-                    gcds, tuple([e // g for e in d] if g > 1 else d for d, g in zip(steps, gcds)))
+    lo = min(t)
+    steps = [e - lo for e in t]
+    g = math.gcd(*steps)
+    p._k = _Packing(vals, clear, sum(mags), max(mags), lo, g,
+                    [e // g for e in steps] if g > 1 else steps)
     return p._k
 
 
@@ -1052,14 +1061,13 @@ def _entry(parts: list) -> _Entry:
     Its largest coefficient is at most the first part's largest one times
     the other parts' L1 norms."""
     clear = norm = 1
-    lo = hi = 0
+    lo = 0
     for r, j in parts:
         clear *= r.clear ** j
         norm *= r.norm ** j
         lo += r.lo * j
-        hi += r.hi * j
     first = parts[0][0]
-    return _Entry(parts, clear, norm, norm // first.norm * first.peak if norm else 0, lo, hi)
+    return _Entry(parts, clear, norm, norm // first.norm * first.peak if norm else 0, lo)
 
 
 def _column(c: dict, factors: dict) -> _Column:
@@ -1092,8 +1100,10 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
     """Whether two products of series agree at every key of their box.
 
     A side is (scalar, factors, dims): scalar is a LaurentFraction and
-    factors a list of coefficient dicts of series on the box dims, whose
-    product the scalar multiplies; no factors is the one-key series 1.
+    factors a nonempty list of coefficient dicts of series on the box
+    dims, whose product the scalar multiplies.  Every numerator and
+    denominator factor is a polynomial in t alone: one with an s exponent
+    raises ValueError, so it never compares equal.
 
     Common form.  Factor i goes over D_i, the largest exponent of each
     denominator factor over its coefficients, a side over the scalar's
@@ -1102,32 +1112,29 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
     clears every Fraction coefficient, the factors' included.
 
     Packing.  Each numerator and denominator factor is packed once into
-    an int, its coefficients in slots of w bits: a key's slot is its
-    exponent above the polynomial's least one in units of g_i, the gcd of
-    every exponent step on axis i, and the axes lie in strides wide
-    enough for the box of both sides (multivariate Kronecker
-    substitution), so the int is the polynomial's value at t**g_0 = 2**w
-    and packing is a ring map on those products and sums.  A monomial
-    X**k is the power of two at k's bit offset, the sum over the axes of
-    k_i / g_i strides; it may be negative.  A coefficient of factor i is
+    an int, its coefficients in slots of w bits: a term's slot is its
+    exponent above the polynomial's least one in units of g, the gcd of
+    every exponent step, so the int is the polynomial's value at
+    t**g = 2**w (Kronecker substitution) and packing is a ring map on
+    those products and sums.  A monomial t**k is the power of two at bit
+    offset k / g * w; it may be negative.  A coefficient of factor i is
     packed as its numerator over D_i times the factors it lacks, times
     the monomial of its least exponent, and the factor's coefficients are
     shifted by one power of two to the least of those offsets; a side's
-    scalar numerator, times the factors of D the side lacks, is the
-    packed coefficient of the one-key series it makes.  The factors'
-    packed coefficients are then multiplied as the series are, through
-    _pairs (x * x by symmetry, doubling each off-diagonal pair), so no
-    product is reduced or multiplied out as a polynomial, and the side
-    whose product carries the higher power of two is shifted up to the
-    other's.
+    scalar numerator, times the factors of D the side lacks, scales its
+    product.  The factors' packed coefficients are then multiplied as the
+    series are, through _pairs (x * x by symmetry, doubling each
+    off-diagonal pair), so no product is reduced or multiplied out as a
+    polynomial, and the side whose product carries the higher power of
+    two is shifted up to the other's.
 
     w is chosen with 2 * B < 2**w, B bounding every coefficient of
     either side at any key: a product's coefficients are at most the
     largest magnitude of one factor times the L1 norms of the others, and
     each key's sum takes one coefficient of each factor per term.  Equal
-    ints then mean equal numerators: every exponent of the box of both
-    sides has its own multiple of w as bit offset, so the lowest nonzero
-    coefficient of a nonzero difference would be a multiple of 2**w.
+    ints then mean equal numerators: every exponent of both sides has its
+    own multiple of w as bit offset, so the lowest nonzero coefficient of
+    a nonzero difference would be a multiple of 2**w.
     """
     factors: dict = {}
     columns: dict = {}
@@ -1148,9 +1155,11 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
     for k, e in dens[1].items():
         if e > top.get(k, 0):
             top[k] = e
+    # every factor is packed, so an s exponent in any of them raises
+    packings = {k: _packing(f) for k, f in factors.items()}
     sides = []
     for (scalar, cols, dims), den in zip((a, b), dens):
-        const = _entry([(_packing(scalar.num), 1)] + [(_packing(factors[k]), e - den.get(k, 0))
+        const = _entry([(_packing(scalar.num), 1)] + [(packings[k], e - den.get(k, 0))
                                                       for k, e in top.items()
                                                       if e > den.get(k, 0)])
         scale, bound, ref = const.clear, const.peak, const.lo
@@ -1162,7 +1171,7 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
         sides.append(_Side(const, scale, bound, ref, cols, dims))
     big = math.lcm(sides[0].scale, sides[1].scale)
     w = (2 * sum(big // s.scale * s.bound for s in sides)).bit_length()
-    # g_i divides every exponent step: each key of a packed polynomial
+    # g divides every exponent step: each term of a packed polynomial
     # above its least, each coefficient above its series' ref, and one
     # side's ref above the other's
     entries = [s.const for s in sides]
@@ -1170,29 +1179,7 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
     for col in columns.values():
         entries += col.entries.values()
         steps += [x.lo - col.ref for x in col.entries.values()]
-    own = itertools.zip_longest(*{id(r): r.gcds for x in entries for r, _ in x.parts}.values(),
-                                fillvalue=0)
-    gcds = [math.gcd(*d, *_digits(steps, i)) or 1 for i, d in enumerate(own)]
-    # axis i's stride spans the exponents of axis i in the box of both
-    # sides; a side's terms lie between the sums, over its scalar and
-    # its series, of their least and greatest exponents there
-    widths = [w]
-    for i in range(len(gcds) - 1):
-        ends = []
-        for s in sides:
-            groups = [[s.const]] + [columns[id(c)].entries.values() for c in s.cols]
-            ends += [sum(min(_digits([x.lo for x in xs], i)) for xs in groups if xs),
-                     sum(max(_digits([x.hi for x in xs], i)) for xs in groups if xs)]
-        span = (max(ends[1::2]) - min(ends[::2])) // gcds[i]
-        widths.append(widths[-1] * (span + 1))
-
-    def offsets(ds: list) -> list:
-        """The bit offsets of the monomials whose packed keys are ds."""
-        out = [0] * len(ds)
-        for i, (g, sw) in enumerate(zip(gcds, widths)):
-            out = [o + e // g * sw for o, e in zip(out, _digits(ds, i))]
-        return out
-
+    g = math.gcd(*steps, *{id(r): r.gcd for x in entries for r, _ in x.parts}.values()) or 1
     ints: dict = {}
 
     def packed(parts: list, scale: int, shift: int) -> int:
@@ -1200,38 +1187,31 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
         for r, j in parts:
             y = ints.get(id(r))
             if y is None:
-                # the bit offset of each term of r above r's least
-                slots = [0] * len(r.ints)
-                for units, step, g, sw in zip(r.units, r.gcds, gcds, widths):
-                    m = step // g * sw
-                    slots = [o + u * m for o, u in zip(slots, units)]
-                y = ints[id(r)] = sum(map(operator.lshift, r.ints, slots))
+                m = r.gcd // g * w
+                y = ints[id(r)] = sum(map(operator.lshift, r.ints, [u * m for u in r.units]))
             scale *= y ** j if j > 1 else y
         return scale << shift
 
     coeffs: dict = {}
     lows: dict = {}
     for k, col in columns.items():
-        ups = offsets([x.lo - col.ref for x in col.entries.values()])
+        ups = [(x.lo - col.ref) // g * w for x in col.entries.values()]
         low = lows[k] = min(ups, default=0)
         coeffs[k] = {i: packed(x.parts, col.clear // x.clear, up - low)
                      for (i, x), up in zip(col.entries.items(), ups)}
     # the bits by which side 0's power of two exceeds side 1's
-    shift, = offsets([sides[0].ref - sides[1].ref])
-    shift += sum(lows[id(c)] for c in sides[0].cols) - sum(lows[id(c)] for c in sides[1].cols)
+    shift = ((sides[0].ref - sides[1].ref) // g * w + sum(lows[id(c)] for c in sides[0].cols)
+             - sum(lows[id(c)] for c in sides[1].cols))
     verdicts = []
     for s, up in zip(sides, (max(shift, 0), max(-shift, 0))):
-        fs = [(c, coeffs[id(c)]) for c in s.cols]
-        if not fs:
-            acc = {(): 1}
-        elif len(fs) > 1 and fs[1][0] is fs[0][0]:
-            (c, p), fs = fs[0], fs[2:]
+        (c, p), *fs = [(c, coeffs[id(c)]) for c in s.cols]
+        if fs and fs[0][0] is c:
+            fs = fs[1:]
             acc = {}
             for kk, v1, v2, twice in _pairs(c, None, s.dims):
                 x = p[id(v1)] * p[id(v2)]
                 acc[kk] = acc.get(kk, 0) + (2 * x if twice else x)
         else:
-            (c, p), fs = fs[0], fs[1:]
             acc = {k: p[id(v)] for k, v in c.items()}
         for c, p in fs:
             out: dict = {}

@@ -156,3 +156,33 @@ def test_one_loop_enumerates_in_box_key_pairs():
             if any(map(summed_key, nodes)) and any(map(zips_dims, nodes)):
                 found.add(fn.name)
     assert found == {"_pairs"}
+
+
+def functions(tree, prefix=""):
+    """(qualified name, node) of the functions and methods at the top of tree."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+
+
+def names(node) -> set:
+    """The names node reads, as bare names or as attributes."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_the_packed_comparison_packs_t_alone_for_products_only():
+    # series._cross_equal packs polynomials in t alone, so it serves
+    # Product's == and nothing else (fraction == cross-multiplies), and
+    # neither it nor _packing reads the digits of a multi-axis key
+    users, axes = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in functions(ast.parse(path.read_text())):
+            if name != "_cross_equal" and "_cross_equal" in names(fn):
+                users.append(f"{path.name}:{name}")
+            if path.name == "series.py" and name in ("_packing", "_cross_equal"):
+                axes += sorted(names(fn) & {"_digits", "unpack", "DIGIT_BITS"})
+    assert users == ["series.py:Product.__eq__"]
+    assert axes == []

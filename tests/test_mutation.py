@@ -300,3 +300,15 @@ def test_packing_without_the_origin_shift_is_caught(mutate, tmp_path, capsys):
     mutate(series, "_cross_equal", mutant)
     assert tiny_failures("kgen", tmp_path, capsys)[0] > 0
     assert tiny_failures("sun", tmp_path, capsys)[0] > 0
+
+
+def test_fraction_equality_expanding_one_side_only_is_caught(mutate, tmp_path, capsys):
+    # == over different factor multisets multiplies only the left numerator
+    # by the factors it lacks; the right one is compared over its own
+    mutant = source_mutant(series.LaurentFraction.__eq__,
+                           "(o.num * _den_expand(_lacks(o.den, self.den)))._t", "o.num._t")
+    mutate(series.LaurentFraction, "__eq__", mutant)
+    sizes = ["--m", "0", "--bdeg", "2", "--fdeg", "4"]
+    assert tiny_failures("nekrasov-su2", tmp_path, capsys, sizes)[0] > 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert "rank2-termwise-and-aggregate" in {e["id"] for e in doc["entries"] if e["status"] == "fail"}

@@ -219,13 +219,15 @@ def test_division_by_a_one_term_numerator_matches_sympy(dc):
     assert fa / divisor == fa * divisor.inv()
 
 
-@given(st.lists(cases(), min_size=1, max_size=2), st.lists(cases(), min_size=1, max_size=2),
+@given(st.lists(cases(naxes=1), min_size=1, max_size=2),
+       st.lists(cases(naxes=1), min_size=1, max_size=2),
        st.sampled_from([(1,), (2,), (1, 1)]), st.booleans(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_product_equality_matches_sympy(xs, ys, dims, square, data):
     # Product(x, x) or Product(x, y) against its value, each coefficient
     # of which sympy confirms from the data; then that value off by one
-    # at one key, which the comparison must reject
+    # at one key, which the comparison must reject.  Coefficients are in
+    # t alone, as the packed comparison requires.
     keys = list(itertools.product(*(range(d + 1) for d in dims)))
     refs = [dict(zip(keys, xs)), dict(zip(keys[::-1], ys))]
     x, y = (MultiQSeries(dims, {k: kernel(c) for k, c in r.items()}) for r in refs)

@@ -591,14 +591,11 @@ def test_a_disagreeing_comparator_never_passes(monkeypatch):
         same(x * x, Product(x, x, scalar=1))
 
 
-# Canonical factors for the kernel cases: binomials and a trinomial, one
-# with a negative axis-0 exponent beside a positive axis-1 one, and some
-# with Fraction coefficients.
+# Canonical factors for the kernel cases: binomials and a trinomial in t,
+# some with Fraction coefficients.
 KERNEL_FACTORS = [LaurentPoly({(): 1, (1,): -1}), LaurentPoly({(): 1, (2,): -1}),
                   LaurentPoly({(): 1, (1,): Fraction(1, 2)}),
-                  LaurentPoly({(): 1, (1,): 1, (2,): Fraction(-2, 3)}),
-                  LaurentPoly({(): 1, (0, 1): -1}),
-                  LaurentPoly({(): 1, (-1, 1): Fraction(3, 4)})]
+                  LaurentPoly({(): 1, (1,): 1, (2,): Fraction(-2, 3)})]
 
 
 def reference_cross_equal(a, b) -> bool:
@@ -616,7 +613,7 @@ def reference_cross_equal(a, b) -> bool:
         scalar, factors, dims = side
         out: dict = {}
         for combo in itertools.product(*(f.items() for f in factors)):
-            key = tuple(map(sum, zip(*(k for k, _ in combo)))) if combo else ()
+            key = tuple(map(sum, zip(*(k for k, _ in combo))))
             if all(k <= d for k, d in zip(key, dims)):
                 num, den = scalar.num, dict(scalar.den)
                 for _, v in combo:
@@ -645,40 +642,37 @@ def reference_cross_equal(a, b) -> bool:
 
 
 @st.composite
-def kernel_fractions(draw, naxes):
-    """A fraction with int or Fraction coefficients, exponents -3..3 on
-    naxes axes, over up to two factors; its numerator may be zero."""
-    keys = st.tuples(*[st.integers(-3, 3)] * naxes)
+def kernel_fractions(draw):
+    """A fraction in t with int or Fraction coefficients and exponents
+    -3..3, over up to two factors; its numerator may be zero."""
     coeffs = st.one_of(st.integers(-4, 4).filter(bool),
                        st.fractions(-3, 3, max_denominator=4).filter(bool))
-    num = draw(st.dictionaries(keys, coeffs, max_size=3))
-    pool = KERNEL_FACTORS if naxes > 1 else KERNEL_FACTORS[:4]
-    den = {f: draw(st.integers(1, 2)) for f in draw(st.sets(st.sampled_from(pool), max_size=2))}
+    num = draw(st.dictionaries(st.tuples(st.integers(-3, 3)), coeffs, max_size=3))
+    den = {f: draw(st.integers(1, 2))
+           for f in draw(st.sets(st.sampled_from(KERNEL_FACTORS), max_size=2))}
     return LaurentFraction(LaurentPoly(num), den)
 
 
 @st.composite
-def kernel_sides(draw, naxes, dims):
-    """A kernel side (scalar, factors, dims): 0 to 3 series on dims with
+def kernel_sides(draw, dims):
+    """A kernel side (scalar, factors, dims): 1 to 3 series on dims with
     1 to 3 nonzero coefficients each, the second sometimes the first
     again (a square); the scalar may be zero."""
     factors = []
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         if len(factors) == 1 and draw(st.booleans()):
             factors.append(factors[0])
             continue
         keys = draw(st.lists(st.tuples(*(st.integers(0, d) for d in dims)),
                              min_size=1, max_size=3, unique=True))
-        values = [draw(kernel_fractions(naxes).filter(bool)) for _ in keys]
+        values = [draw(kernel_fractions().filter(bool)) for _ in keys]
         factors.append(dict(zip(keys, values)))
-    return draw(kernel_fractions(naxes)), factors, dims
+    return draw(kernel_fractions()), factors, dims
 
 
 def evaluated_side(side) -> dict:
     """The side's value at each key, by the series arithmetic."""
     scalar, factors, dims = side
-    if not factors:
-        return {(): scalar} if scalar else {}
     out = MultiQSeries(dims, factors[0])
     for f in factors[1:]:
         out = out * MultiQSeries(dims, f)
@@ -690,31 +684,26 @@ def kernel_cases(draw):
     """Two kernel sides: independent, or the second the first's values
     (equal), those values off by a monomial at one key, or all of them
     times a monomial; the values are sometimes left over one more factor."""
-    naxes = draw(st.integers(1, 2))
     dims = draw(st.sampled_from([(2,), (1, 1)]))
-    a = draw(kernel_sides(naxes, dims))
+    a = draw(kernel_sides(dims))
     kind = draw(st.sampled_from(["other", "equal", "off", "shifted"]))
     if kind == "other":
-        return a, draw(kernel_sides(naxes, dims if a[1] else draw(st.sampled_from([(), dims]))))
+        return a, draw(kernel_sides(dims))
     values = evaluated_side(a)
     if kind == "shifted":
-        step = draw(st.tuples(*[st.integers(-2, 2)] * naxes))
+        step = (draw(st.integers(-2, 2)),)
         values = {k: v.shift(step) for k, v in values.items()}
     elif kind == "off":
-        key = (0,) * len(a[2]) if not a[1] else draw(st.sampled_from(sorted(
-            itertools.product(*(range(d + 1) for d in dims)))))
+        key = draw(st.sampled_from(sorted(itertools.product(*(range(d + 1) for d in dims)))))
         bump = LaurentFraction.monomial(draw(st.sampled_from([1, Fraction(-1, 2)])),
-                                        draw(st.tuples(*[st.integers(-3, 3)] * naxes)))
-        values[key if a[1] else ()] = values.get(key if a[1] else (), LaurentFraction.zero()) + bump
+                                        (draw(st.integers(-3, 3)),))
+        values[key] = values.get(key, LaurentFraction.zero()) + bump
     if draw(st.booleans()):
         # the same values over a larger denominator, left unreduced
-        f = draw(st.sampled_from(KERNEL_FACTORS if naxes > 1 else KERNEL_FACTORS[:4]))
+        f = draw(st.sampled_from(KERNEL_FACTORS))
         values = {k: LaurentFraction(v.num * f, {**v.den, f: v.den.get(f, 0) + 1})
                   for k, v in values.items()}
-    values = {k: v for k, v in values.items() if v}
-    if not a[1]:
-        return a, (values.get((), LaurentFraction.zero()), [], ())
-    return a, (LaurentFraction.one(), [values], dims)
+    return a, (LaurentFraction.one(), [{k: v for k, v in values.items() if v}], dims)
 
 
 @given(kernel_cases(), st.booleans())
@@ -725,16 +714,39 @@ def test_packed_comparison_matches_dict_cross_multiplication(case, swap):
 
 
 def test_packed_comparison_of_zero_sides():
-    x = LaurentFraction(LaurentPoly({(1,): 2}), {KERNEL_FACTORS[2]: 1})
-    one = LaurentFraction.one()
-    zero = (LaurentFraction.zero(), [], ())
-    assert series._cross_equal(zero, (one, [{}], (2,)))
-    assert series._cross_equal((one, [{}], (2,)), (x, [{}, {(1,): x}], (2,)))
-    assert not series._cross_equal((x, [], ()), zero)
-    assert not series._cross_equal((one, [{(0,): x}], (2,)), (one, [{}], (2,)))
-    assert series._cross_equal((one, [{(0,): x}, {(0,): x}], (2,)), (x * x, [], (2,))) is False
-    assert series._cross_equal((one, [{(0,): x}, {(0,): x}], (2,)),
-                               (x * x, [{(0,): one}], (2,)))
+    x = MultiQSeries((2,), {(0,): LaurentFraction(LaurentPoly({(1,): 2}), {KERNEL_FACTORS[2]: 1})})
+    zero = MultiQSeries((2,))
+    assert Product(zero) == Product(zero, scalar=x.get((0,)))
+    assert Product(zero) == Product(x, zero, x)
+    assert Product(x, scalar=0) == zero
+    assert Product(x) != Product(zero)
+    assert Product(zero, scalar=2) != Product(x, x)
+    assert Product(x, x) == Product(MultiQSeries.one((2,)), scalar=x.get((0,)) ** 2)
+    assert Product(x, x) != Product(zero, MultiQSeries.one((2,)), scalar=x.get((0,)) ** 2)
+
+
+def test_packed_comparison_rejects_an_s_exponent():
+    # the kernel packs polynomials in t alone, so a comparison whose
+    # coefficients or scalar carry an s exponent raises, even between
+    # equal sides, and never passes
+    s = LaurentFraction.monomial(1, (0, 1))
+    over_s = LaurentFraction.one() / LaurentFraction.from_poly(LaurentPoly({(): 1, (0, 1): -1}))
+    x = MultiQSeries((1,), {(0,): 1, (1,): LaurentFraction.monomial(2, (1,))})
+    for c in (s, over_s):
+        y = MultiQSeries((1,), {(0,): 1, (1,): c})
+        with pytest.raises(ValueError):
+            Product(y) == Product(MultiQSeries((1,), y.c))
+        with pytest.raises(ValueError):
+            Product(x, y) == x
+        with pytest.raises(ValueError):
+            Product(x, scalar=c) == Product(x, scalar=c)
+        with pytest.raises(ValueError):
+            x == Product(x, scalar=c)
+
+
+def one_key(c) -> Product:
+    """c as the product of one one-key series."""
+    return Product(MultiQSeries((1,), {(0,): c}))
 
 
 @pytest.mark.parametrize("step", [(1,), (2,), (0, 1), (-1, 1)])
@@ -742,14 +754,15 @@ def test_packing_never_aliases_adjacent_slots(step):
     # n * (1 - X**step) / (1 - X**step) - n * X**step has coefficients
     # n, -n and -1 at exponents 0, step and 2 * step; packed with slots of
     # w bits, n = 2**w would make it vanish at X**step = 2**w.  The sides
-    # differ for every n, so no slot width may alias them.
+    # differ for every n, so no slot width may alias them.  The kernel
+    # packs t alone; a step with an s exponent is a fraction comparison.
     f = LaurentPoly({(): 1, step: -1})
+    wrap = one_key if len(step) == 1 else LaurentFraction._coerce
     for k in range(0, 130):
         for n in (1 << k, -(1 << k)):
-            lhs = LaurentFraction(LaurentPoly({(): n, step: -n}), {f: 1})
-            rhs = LaurentFraction.monomial(1, step)
-            assert lhs != rhs
-            assert lhs == LaurentFraction.const(n)
+            lhs = wrap(LaurentFraction(LaurentPoly({(): n, step: -n}), {f: 1}))
+            assert lhs != wrap(LaurentFraction.monomial(1, step))
+            assert lhs == wrap(LaurentFraction.const(n))
 
 
 @pytest.mark.parametrize("odd", [(1,), (0, 1), (1, 1), (-1, 2)])
@@ -757,17 +770,29 @@ def test_packing_keeps_odd_steps_between_even_polynomials(odd):
     # every polynomial steps by 2 on each axis, so only the placement of
     # one side, or of one coefficient, against another is odd: the slot
     # unit must divide that step too, or X**odd packs as X**0
-    even = LaurentFraction(LaurentPoly({(): 1, (2,): 1, (0, 2): 1}))
+    if len(odd) > 1:
+        # a fraction over an unreduced factor against one over none
+        even = LaurentPoly({(): 1, (2,): 1, (0, 2): 1})
+        f = LaurentPoly({(): 1, (0, 1): -1})
+        assert LaurentFraction(even * f, {f: 1}) != LaurentFraction(even.shift(odd))
+        assert LaurentFraction(even.shift(odd)) != LaurentFraction(even * f, {f: 1})
+        return
+    even = LaurentFraction(LaurentPoly({(): 1, (2,): 1, (4,): 1}))
     moved = even.shift(odd)
-    one = LaurentFraction.one()
-    x = {(0,): even, (1,): even}
-    y = {(0,): even, (1,): moved}
-    for a, b in [((even, [], ()), (moved, [], ())),
-                 ((one, [{(0,): even}], (1,)), (one, [{(0,): moved}], (1,))),
-                 ((one, [x], (1,)), (one, [y], (1,)))]:
-        assert not series._cross_equal(a, b)
-        assert not series._cross_equal(b, a)
-    assert series._cross_equal((one, [y], (1,)), (one, [dict(y)], (1,)))
+    one = MultiQSeries.one((1,))
+    x = MultiQSeries((1,), {(0,): even, (1,): even})
+    y = MultiQSeries((1,), {(0,): even, (1,): moved})
+    for a, b in [(Product(one, scalar=even), Product(one, scalar=moved)),
+                 (one_key(even), one_key(moved)), (Product(x), Product(y))]:
+        assert a != b
+        assert b != a
+    assert Product(y) == Product(MultiQSeries((1,), y.c))
+    # the converse: coefficients placed an even step apart, one of them
+    # stepping by odd, so the polynomial's own step must divide the unit
+    lop = LaurentFraction(LaurentPoly({(): 1, odd: 1}))
+    two = LaurentFraction.const(2)
+    assert (Product(MultiQSeries((1,), {(0,): lop, (1,): lop.shift((2,))}))
+            != Product(MultiQSeries((1,), {(0,): two, (1,): two.shift((2,))})))
 
 
 def test_expand_in_q_geometric():
