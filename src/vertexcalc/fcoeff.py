@@ -9,6 +9,10 @@ The two-variable refinement f_pair_2var lives on two half-power axes
 (axis 0 is t1, axis 1 is t2, with q_k = t_k**2); identifying the axes
 recovers f_pair.  Unlike the one-variable case it is a genuine rational
 function, not a Laurent polynomial.
+
+f_pair and f_pair_2var are memoized on their partitions (series.memo),
+so each pair function is built once per process; callers read the
+returned value and never change it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,10 @@ from fractions import Fraction
 
 from .partitions import conjugate, contents, kappa, weight
 from .prodred import pair_multiset
-from .series import LaurentFraction, LaurentPoly, same
+from .series import LaurentFraction, LaurentPoly, memo, same
+
+_FPAIR_CACHE: dict = {}
+_FPAIR2_CACHE: dict = {}
 
 
 def f_one(mu) -> LaurentPoly:
@@ -64,6 +71,7 @@ def f_one_closed(mu) -> LaurentFraction:
     return LaurentFraction.ratio(num, den)
 
 
+@memo(_FPAIR_CACHE)
 def f_pair(mu1, mu2) -> LaurentPoly:
     """(q - 2 + 1/q) f1 f2 + f1 + f2 for the pair of content sums."""
     f1 = f_one(mu1)
@@ -95,6 +103,7 @@ def f_row_pair(m: int, n: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
+@memo(_FPAIR2_CACHE)
 def f_pair_2var(mu1, mu2) -> LaurentFraction:
     """Two-variable pair function sqrt(q1 q2) [F1 F2 + F1/(q2-1) + F2/(q1-1)]."""
     f1 = _fsum(mu1, 0)

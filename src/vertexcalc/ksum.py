@@ -37,10 +37,10 @@ comparisons.
 The kgen and sun suites sweep the same chains, so the chain pieces are
 computed once per process: ktilde_brute and chain_links (brute side),
 kgen_pair (closed side), sun_pair_square, k00_square and gauge_block
-(sinh side), ray_keys and k_brute_square are memoized like k_brute,
-keyed on their raw arguments, so every entry point takes mus as a tuple
-of canonical partition tuples and dims as a tuple; a list reaching a
-memo table is a TypeError.
+(sinh side), ray_keys, k_brute_square and k_transposed_rational are
+memoized like k_brute, keyed on their raw arguments, so every entry
+point takes mus as a tuple of canonical partition tuples and dims as a
+tuple; a list reaching a memo table is a TypeError.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ _RAY_CACHE: dict = {}
 _KPAIR_CACHE: dict = {}
 _SPAIR_CACHE: dict = {}
 _GAUGE_CACHE: dict = {}
+_KTR_CACHE: dict = {}
 
 
 @memo(_KB_CACHE)
@@ -122,6 +123,7 @@ def verify_thm_k(mu1, mu2, trunc: int) -> bool:
     return same(brute, k_product_closed(mu1, mu2, trunc))
 
 
+@memo(_KTR_CACHE)
 def k_transposed_rational(mu1, mu2) -> LaurentFraction:
     """The transposed-pair series divided by k00, as one exact fraction.
 

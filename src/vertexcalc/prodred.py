@@ -13,6 +13,10 @@ factor families cover everything downstream:
 * one_minus_qq(m, shift): 1 - t^(2m) * monomial(shift), the building block
   of box-count expansions,
 * sinh_factor(m, shift): (X^(-1) - X)/2 with X = t^m * monomial(shift).
+
+Each factor is built once per process: the three constructors are
+memoized on their positional arguments (series.memo), so a caller passes
+shift positionally and reads the returned fraction without changing it.
 """
 
 from __future__ import annotations
@@ -22,15 +26,21 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 
 from .partitions import conjugate, contents
-from .series import LaurentFraction, LaurentPoly
+from .series import LaurentFraction, LaurentPoly, memo
+
+_BRACKET_CACHE: dict = {}
+_OMQQ_CACHE: dict = {}
+_SINH_CACHE: dict = {}
 
 
+@memo(_BRACKET_CACHE)
 def bracket(m: int) -> LaurentFraction:
     if m == 0:
         raise ValueError("bracket vanishes at m = 0")
     return LaurentFraction.from_poly(LaurentPoly({(m,): 1, (-m,): -1}))
 
 
+@memo(_OMQQ_CACHE)
 def one_minus_qq(m: int, shift=(0, 2)) -> LaurentFraction:
     x = LaurentPoly.var(0, 2 * m).shift(shift)
     if x == 1:
@@ -38,6 +48,7 @@ def one_minus_qq(m: int, shift=(0, 2)) -> LaurentFraction:
     return LaurentFraction.from_poly(LaurentPoly.one() - x)
 
 
+@memo(_SINH_CACHE)
 def sinh_factor(m: int, shift=(0, 1)) -> LaurentFraction:
     x = LaurentPoly.var(0, m).shift(shift)
     if x == 1:

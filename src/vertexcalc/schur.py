@@ -9,6 +9,12 @@ is a LaurentPoly in the letters.  Fraction-valued principal
 specializations (LaurentFraction in the half-power variable t) feed the
 amplitude layer; the key evaluation is schur_at_mu_rho, the Schur function
 at the shifted geometric alphabet attached to a background partition.
+
+The tableau enumerations, skew_schur_poly (and so schur_poly), the
+Cauchy kernel of verify_skew_cauchy and the principal specializations
+are memoized on their positional arguments (series.memo), so each is
+computed once per process; callers read the returned values without
+changing them.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ _PS_CACHE: dict = {}
 _PSK_CACHE: dict = {}
 _SAT_CACHE: dict = {}
 _SKAT_CACHE: dict = {}
+_SKEW_CACHE: dict = {}
+_KERNEL_CACHE: dict = {}
 
 
 @memo(_LR_CACHE)
@@ -107,6 +115,7 @@ def _ssyt_weights(lam, eta, nletters: int) -> dict:
     return dict(out)
 
 
+@memo(_SKEW_CACHE)
 def skew_schur_poly(lam, eta, trunc: int, first_axis: int, nletters: int) -> MultiQSeries:
     """Skew Schur polynomial in nletters letters on the axes from first_axis on.
 
@@ -131,6 +140,16 @@ def _geometric(key, trunc: int) -> MultiQSeries:
     d = sum(key)
     return MultiQSeries((trunc,), {(j * d,): LaurentPoly.term(1, [j * e for e in key])
                                    for j in range(trunc // d + 1)})
+
+
+@memo(_KERNEL_CACHE)
+def _cauchy_kernel(nx: int, ny: int, trunc: int) -> MultiQSeries:
+    """prod_{i,j} (1 - x_i y_j)^(-1) with x on axes 0.. and y on axes nx.., cut above trunc."""
+    kern = MultiQSeries.one((trunc,))
+    for i in range(nx):
+        for j in range(ny):
+            kern = kern * _geometric([1 if a in (i, nx + j) else 0 for a in range(nx + ny)], trunc)
+    return kern
 
 
 def _flat(s: MultiQSeries) -> LaurentPoly:
@@ -242,16 +261,12 @@ def verify_skew_cauchy(mu, nu, nx: int, ny: int, trunc: int) -> bool:
         if not b.c:
             continue
         lhs = lhs + a * b
-    kern = MultiQSeries.one((trunc,))
-    for i in range(nx):
-        for j in range(ny):
-            kern = kern * _geometric([1 if a in (i, nx + j) else 0 for a in range(nx + ny)], trunc)
     rhs = MultiQSeries((trunc,))
     for tau in common_subpartitions(mu, nu):
         a = skew_schur_poly(nu, tau, trunc, 0, nx)
         b = skew_schur_poly(mu, tau, trunc, nx, ny)
         rhs = rhs + a * b
-    return same(_flat(lhs), _flat(kern * rhs))
+    return same(_flat(lhs), _flat(_cauchy_kernel(nx, ny, trunc) * rhs))
 
 
 def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
@@ -275,6 +290,19 @@ def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
 
     shapes = [p for p in all_partitions(trunc) if len(p) <= n]
     lhs = MultiQSeries((trunc,))
+    links: dict = {}
+
+    def link_sum(idx: int, prev, nu) -> MultiQSeries:
+        """Glue of slot idx - 1 to slot idx through every shared skew shape."""
+        key = (idx, prev, nu)
+        if key not in links:
+            link = MultiQSeries((trunc,))
+            for eta in common_subpartitions(prev, nu):
+                a = skew_schur_poly(prev, eta, trunc, yaxis(idx - 1, 0), n)
+                b = skew_schur_poly(nu, eta, trunc, xaxis(idx, 0), n)
+                link = link + a * b
+            links[key] = link
+        return links[key]
 
     def rec(idx: int, chain: list, acc: MultiQSeries):
         nonlocal lhs
@@ -289,12 +317,7 @@ def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
                 if head.c:
                     rec(2, [nu], acc * qpart * head)
             else:
-                prev = chain[-1]
-                link = MultiQSeries((trunc,))
-                for eta in common_subpartitions(prev, nu):
-                    a = skew_schur_poly(prev, eta, trunc, yaxis(idx - 1, 0), n)
-                    b = skew_schur_poly(nu, eta, trunc, xaxis(idx, 0), n)
-                    link = link + a * b
+                link = link_sum(idx, chain[-1], nu)
                 if link.c:
                     rec(idx + 1, chain + [nu], acc * qpart * link)
 

@@ -4,7 +4,8 @@ A verify_* function, sun_tuple_identity or a function nested in a suite_*
 builder that returned a bare comparison or False would fail without
 naming where its two sides differ, so none may.  Every memo table is a
 module-level dict named *_CACHE, the suffix by which the mutation tests
-clear them.
+clear them, and every memoized function is called with positional
+arguments only.
 """
 
 import ast
@@ -105,6 +106,16 @@ def module_dicts(tree) -> set:
     return out
 
 
+def memo_decorators(tree):
+    """(function node, decorator node) of every @memo(...) function in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+                        and dec.func.id == "memo"):
+                    yield node, dec
+
+
 def test_memo_tables_are_module_dicts_named_cache():
     # tests/test_mutation.py empties every *_CACHE dict between mutants, so
     # a table by another name would carry a mutant's values into the next test
@@ -112,19 +123,30 @@ def test_memo_tables_are_module_dicts_named_cache():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         dicts = module_dicts(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for dec in node.decorator_list:
-                if not (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
-                        and dec.func.id == "memo"):
-                    continue
-                tables += 1
-                arg = dec.args[0] if len(dec.args) == 1 and not dec.keywords else None
-                name = arg.id if isinstance(arg, ast.Name) else None
-                if not (name and name.endswith("_CACHE") and name in dicts):
-                    offenders.append(f"{path.name}:{node.name}")
+        for node, dec in memo_decorators(tree):
+            tables += 1
+            arg = dec.args[0] if len(dec.args) == 1 and not dec.keywords else None
+            name = arg.id if isinstance(arg, ast.Name) else None
+            if not (name and name.endswith("_CACHE") and name in dicts):
+                offenders.append(f"{path.name}:{node.name}")
     assert tables >= 20
+    assert offenders == []
+
+
+def test_memo_functions_are_called_with_positional_arguments_only():
+    # series.memo's wrapper takes *args alone, so one_minus_qq(m, shift=s)
+    # would raise TypeError; a defaulted argument is passed positionally
+    memoized = {node.name for path in sorted(SRC.glob("*.py"))
+                for node, _ in memo_decorators(ast.parse(path.read_text()))}
+    assert {"one_minus_qq", "sinh_factor", "skew_schur_poly", "_cauchy_kernel"} <= memoized
+    offenders = []
+    for path in sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and node.keywords:
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in memoized:
+                    offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 

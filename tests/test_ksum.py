@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertexcalc import ksum, prodred, series
+from vertexcalc import fcoeff, ksum, prodred, schur, series
 from vertexcalc.ksum import (chain_links, gauge_block, k00_closed, k00_square,
                              k_brute, k_brute_square, k_transposed_rational,
                              kgen_closed, kgen_pair, ktilde_brute, ray_keys,
@@ -197,9 +197,21 @@ CHAIN_MEMOS = [
 ]
 
 
-@pytest.mark.parametrize("fn, table_name, args", CHAIN_MEMOS,
-                         ids=[fn.__name__ for fn, *_ in CHAIN_MEMOS])
-def test_chain_builders_are_memoized(fn, table_name, args, monkeypatch):
+# the factor families, pair functions and finite-alphabet Schur polynomials
+# the chain pieces and the Cauchy-type checks are built from
+FACTOR_MEMOS = [
+    (prodred.bracket, "_BRACKET_CACHE", (3,)),
+    (prodred.one_minus_qq, "_OMQQ_CACHE", (2,)),
+    (prodred.sinh_factor, "_SINH_CACHE", (-3, (0, 1))),
+    (fcoeff.f_pair, "_FPAIR_CACHE", ((2, 1), (1,))),
+    (fcoeff.f_pair_2var, "_FPAIR2_CACHE", ((2, 1), (1,))),
+    (k_transposed_rational, "_KTR_CACHE", ((2, 1), (1,))),
+    (schur.skew_schur_poly, "_SKEW_CACHE", ((2, 1), (1,), 4, 2, 2)),
+    (schur._cauchy_kernel, "_KERNEL_CACHE", (2, 2, 4)),
+]
+
+
+def assert_memoized(fn, table_name, args, monkeypatch):
     first = fn(*args)
     assert fn(*args) is first
     # a full table (CACHE_LIMIT) recomputes an equal value and does not store it
@@ -210,6 +222,18 @@ def test_chain_builders_are_memoized(fn, table_name, args, monkeypatch):
         m.setattr(series, "CACHE_LIMIT", len(table))
         again = fn(*args)
     assert again == first and again is not first and args not in table
+
+
+@pytest.mark.parametrize("fn, table_name, args", CHAIN_MEMOS,
+                         ids=[fn.__name__ for fn, *_ in CHAIN_MEMOS])
+def test_chain_builders_are_memoized(fn, table_name, args, monkeypatch):
+    assert_memoized(fn, table_name, args, monkeypatch)
+
+
+@pytest.mark.parametrize("fn, table_name, args", FACTOR_MEMOS,
+                         ids=[fn.__name__ for fn, *_ in FACTOR_MEMOS])
+def test_factor_builders_are_memoized(fn, table_name, args, monkeypatch):
+    assert_memoized(fn, table_name, args, monkeypatch)
 
 
 def _expand_per_cell(fr, dims):

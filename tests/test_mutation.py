@@ -248,6 +248,26 @@ def test_skew_schur_letters_on_the_wrong_axes_are_caught(mutate, tmp_path, capsy
     assert all(w.startswith("at [") for w in witnesses)
 
 
+def test_cauchy_kernel_missing_one_factor_is_caught(mutate, tmp_path, capsys):
+    # the kernel loses its x_0 y_(ny-1) factor
+    mutant = source_mutant(schur._cauchy_kernel, "for j in range(ny):",
+                           "for j in range(ny if i else ny - 1):")
+    mutate(schur, "_cauchy_kernel", mutant)
+    assert tiny_failures("schur", tmp_path, capsys)[0] > 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert {e["id"] for e in doc["entries"] if e["status"] == "fail"} == {"skew-cauchy"}
+
+
+def test_chain_links_shared_across_slots_are_caught(mutate, tmp_path, capsys):
+    # a link sum kept per (prev, nu) is reused on the axes of another slot
+    mutant = source_mutant(schur.verify_chain_sum, "key = (idx, prev, nu)", "key = (prev, nu)")
+    mutate(schur, "verify_chain_sum", mutant)
+    assert tiny_failures("schur", tmp_path, capsys)[0] > 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    failing = [(e["id"], e["instance"]) for e in doc["entries"] if e["status"] == "fail"]
+    assert failing == [("cyclic-chain-sum", "legs=3 order=4")]
+
+
 def test_ktilde_brute_missing_a_chain_tuple_is_caught(mutate, tmp_path, capsys):
     # each link of the chain sum skips the last middle partition of its pool
     mutant = source_mutant(ksum.chain_links, "for nu in all_partitions(dims[-1]):",
