@@ -36,8 +36,13 @@ factors are 1 - X**k, which vanish at X = (1, ..., 1).  Evaluation at 1
 is a ring map, so such a factor cannot divide a numerator whose
 coefficients do not sum to 0; that division is not attempted, since it
 could only fail, and the result is the same.
+The reduction, _make, is one pass over the factor multiset: it builds
+the factors left in the input's order, so each factor is hashed once, and
+a fraction with no denominator comes back at once.
 LaurentFraction.sum brings many terms over one lcm and reduces once, and
 a + b is its two-term case.
+A polynomial product or sum turns Fraction values of denominator 1 into
+ints only when a Fraction is among its values; int arithmetic gives ints.
 Scaling by a number, and a product with a one-term polynomial, keep int
 coefficients in ints: an int v times p/q is (v * p) // q when q divides
 v * p, and a Fraction only when it does not, so a scalar such as 1/2**k
@@ -48,10 +53,15 @@ lacks are expanded into the numerator before one reduction.  That
 normal form may differ from the one a * b.inv() reaches, so a value
 that is rendered is built with * inv(), not with /.
 One enumerator, _pairs, yields the pairs of keys of two series whose sum
-lies in the box.  Squaring by symmetry lives there too: for x * x it
-yields each unordered pair of keys once and marks the off-diagonal ones,
-whose products are doubled.  MultiQSeries * and the packed product in
-_cross_equal both loop over it.
+lies in the box.  For each key of the left operand it walks only the
+room that key leaves in the box, read from a table kept per key and box,
+and looks each key of the room up in the right operand.  Squaring by
+symmetry lives there too: for x * x it yields each unordered pair of
+keys once and marks the off-diagonal ones, whose products are doubled.
+MultiQSeries * and the packed product in _cross_equal both loop over it.
+An eager product's keys therefore first appear in room order, not in the
+right operand's order; each key's parts still come in the left
+operand's key order, as the right key that completes a pair is unique.
 
 Canonical factors are interned: _canonical_parts and LaurentFraction's
 constructor hand out one shared object per factor value, so a factor
@@ -170,6 +180,19 @@ def _normval(v):
     if type(v) is Fraction and v.denominator == 1:
         return v.numerator
     return v
+
+
+def _normvals(t: dict) -> dict:
+    """t with _normval applied to each value; t itself when no value is a
+    Fraction, since only a Fraction can need it."""
+    if Fraction in map(type, t.values()):
+        return {k: _normval(v) for k, v in t.items()}
+    return t
+
+
+def _inverse(c):
+    """1 / c for a nonzero number c; a unit +-1 is its own inverse."""
+    return c if c == 1 or c == -1 else Fraction(1) / c
 
 
 def _scaled(t: dict, c, x: int = 0) -> dict:
@@ -310,7 +333,7 @@ class LaurentPoly:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LaurentPoly else self._coerce(other)
         if o is None:
             return NotImplemented
         if len(self._t) < len(o._t):
@@ -328,7 +351,7 @@ class LaurentPoly:
                     out[kk] = w
                 else:
                     del out[kk]
-        return LaurentPoly._of({k: _normval(v) for k, v in out.items()})
+        return LaurentPoly._of(_normvals(out))
 
     __rmul__ = __mul__
 
@@ -446,8 +469,7 @@ def _canonical_parts(p: LaurentPoly):
     c = p._t[mk]
     if len(p._t) == 1:
         return None, mk, c
-    inv = Fraction(1) / c
-    canon = p._shifted(-mk).scale(inv)
+    canon = p._shifted(-mk).scale(_inverse(c))
     return _interned(canon), mk, c
 
 
@@ -491,9 +513,14 @@ _EXPAND_CACHE: dict = {}
 
 
 def _den_expand(den: Mapping) -> LaurentPoly:
-    """Expand a factor multiset into a single polynomial (cached)."""
+    """Expand a factor multiset into a single polynomial (cached); a lone
+    factor of exponent 1 is its own expansion."""
     if not den:
         return LaurentPoly.one()
+    if len(den) == 1:
+        (f, e), = den.items()
+        if e == 1:
+            return f
     return _factor_product(frozenset(den.items()))
 
 
@@ -540,15 +567,18 @@ class LaurentFraction:
 
     @classmethod
     def _make(cls, num: LaurentPoly, den: dict):
-        den = {f: e for f, e in den.items() if e}
+        """num / den reduced: each factor, in den's order, divided out of
+        num while it divides; the factors left keep den's order."""
+        out: dict = {}
         if not num._t:
-            return cls(LaurentPoly.zero(), {})
+            return cls._of(LaurentPoly.zero(), out)
+        if not den:
+            return cls._of(num, out)
         # Evaluation at X = 1 is a ring map, so f | num forces
         # num(1) = f(1) * q(1): a factor vanishing at 1 cannot divide a
         # numerator that does not, and the walk is not started.
-        at_one = sum(num._t.values()) if den else 0
-        for f in list(den):
-            e = den[f]
+        at_one = sum(num._t.values())
+        for f, e in den.items():
             vanishes = not sum(f._t.values())
             while e > 0:
                 if at_one and vanishes:
@@ -560,10 +590,8 @@ class LaurentFraction:
                 at_one = sum(num._t.values())
                 e -= 1
             if e:
-                den[f] = e
-            else:
-                del den[f]
-        return cls._of(num, den)
+                out[f] = e
+        return cls._of(num, out)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly):
@@ -588,7 +616,7 @@ class LaurentFraction:
     @classmethod
     def ratio(cls, num: LaurentPoly, den: LaurentPoly):
         canon, mk, c = _canonical_parts(den)
-        num2 = num._shifted(-mk).scale(Fraction(1) / c)
+        num2 = num._shifted(-mk).scale(_inverse(c))
         return cls._make(num2, {canon: 1} if canon is not None else {})
 
     def is_zero(self) -> bool:
@@ -608,7 +636,7 @@ class LaurentFraction:
         return None
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LaurentFraction else self._coerce(other)
         if o is None:
             return NotImplemented
         return LaurentFraction._make(self.num * o.num, _den_sum(self.den, o.den))
@@ -625,7 +653,7 @@ class LaurentFraction:
         two terms, set(a.den) | set(b.den)): it decides which of two
         overlapping binomials divides first, and so the rendered bytes.
         """
-        terms = [cls._coerce(t) for t in terms]
+        terms = [t if type(t) is LaurentFraction else cls._coerce(t) for t in terms]
         if any(t is None for t in terms):
             raise TypeError("LaurentFraction.sum takes fractions, polynomials and numbers")
         terms = [t for t in terms if t.num._t]
@@ -641,7 +669,7 @@ class LaurentFraction:
             num = t.num * _den_expand(missing) if missing else t.num
             for k, v in num._t.items():
                 acc[k] = acc.get(k, 0) + v
-        return cls._make(LaurentPoly._of({k: _normval(v) for k, v in acc.items() if v}), den)
+        return cls._make(LaurentPoly._of(_normvals({k: v for k, v in acc.items() if v})), den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -691,7 +719,7 @@ class LaurentFraction:
                 den.pop(f, None)
                 if left:
                     rest[f] = -left
-        num = LaurentPoly._of(_scaled(self.num._t, Fraction(1) / c, -k))
+        num = LaurentPoly._of(_scaled(self.num._t, _inverse(c), -k))
         if rest:
             num = num * _den_expand(rest)
         return LaurentFraction._make(num, den)
@@ -729,7 +757,7 @@ class LaurentFraction:
                 raise ValueError("denominator factor degenerates under the substitution")
             canon, mk, c = _canonical_parts(g)
             den[canon] = den.get(canon, 0) + e
-            num = num._shifted(-mk * e).scale((Fraction(1) / c) ** e)
+            num = num._shifted(-mk * e).scale(_inverse(c) ** e)
         return LaurentFraction._make(num, den)
 
     def subs_power(self, n: int):
@@ -802,19 +830,42 @@ def _uni(p: LaurentPoly) -> dict[int, object]:
     return p._t
 
 
+_ROOM_CACHE: dict = {}
+
+
 def _pairs(a: Mapping, b: Mapping | None, dims):
     """(summed key, value in a, value in b, twice) for each pair of keys of
     a and b whose sum lies in the box dims, a's keys outermost.
 
+    For each key of a it walks only the room that key leaves in the box,
+    the keys k2 >= 0 whose sum with it stays inside, in itertools.product
+    order, and looks each up in b.  The room of a key in a box, with each
+    k2's summed key, is built once and kept in _ROOM_CACHE.
+
     With b None it squares a: each unordered pair of keys is yielded once,
-    the diagonal first for each key of a, and twice is set off the diagonal.
+    its first value that of the key a lists first, and twice is set off
+    the diagonal.
     """
-    items = list(a.items())
-    for i, (k1, v1) in enumerate(items):
-        for j, (k2, v2) in enumerate(items[i:] if b is None else b.items()):
-            kk = tuple(x + y for x, y in zip(k1, k2))
-            if not any(s > d for s, d in zip(kk, dims)):
-                yield kk, v1, v2, b is None and j > 0
+    square = b is None
+    if square:
+        order = {k: i for i, k in enumerate(a)}
+    for i, (k1, v1) in enumerate(a.items()):
+        room = _ROOM_CACHE.get((k1, dims))
+        if room is None:
+            room = [(k2, tuple(x + y for x, y in zip(k1, k2)))
+                    for k2 in itertools.product(*(range(d - x + 1) for x, d in zip(k1, dims)))]
+            if len(_ROOM_CACHE) < CACHE_LIMIT:
+                _ROOM_CACHE[k1, dims] = room
+        if square:
+            for k2, kk in room:
+                j = order.get(k2, -1)
+                if j >= i:
+                    yield kk, v1, a[k2], j > i
+        else:
+            for k2, kk in room:
+                v2 = b.get(k2)
+                if v2 is not None:
+                    yield kk, v1, v2, False
 
 
 class MultiQSeries:

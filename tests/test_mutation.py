@@ -127,6 +127,22 @@ def test_division_skipped_when_numerator_vanishes_at_one_is_caught(mutate, capsy
     assert compute_pin_drift(capsys) is not None
 
 
+def test_unit_inverse_reading_minus_one_as_one_is_caught(mutate, tmp_path, capsys):
+    # 1 / c for a leading coefficient c = -1 comes out +1, so a divisor led
+    # by -X**k loses its sign when it is split into its canonical factor
+    mutant = source_mutant(series._inverse, "return c if c == 1 or c == -1",
+                           "return 1 if c == 1 or c == -1")
+    mutate(series, "_inverse", mutant)
+    assert tiny_failures("k", tmp_path, capsys)[0] > 0
+
+
+def test_lone_factor_expansion_at_any_exponent_is_caught(mutate, tmp_path, capsys):
+    # a multiset of one factor f with exponent e > 1 expands to f, not f**e
+    mutant = source_mutant(series._den_expand, "if e == 1:", "if e:")
+    mutate(series, "_den_expand", mutant)
+    assert tiny_failures("sun", tmp_path, capsys)[0] > 0
+
+
 def test_scaling_that_always_divides_exactly_is_caught(mutate, tmp_path, capsys):
     # an int times p/q floor-divided by q when q does not divide it; no
     # pinned compute call scales an int by such a p/q, but k00's 1/n
@@ -295,7 +311,7 @@ def test_lazy_square_without_doubled_cross_terms_is_caught(mutate, tmp_path, cap
 
 def test_pair_enumerator_without_the_diagonal_is_caught(mutate, tmp_path, capsys):
     # a square loses every product of a key with itself
-    mutant = source_mutant(series._pairs, "items[i:]", "items[i + 1:]")
+    mutant = source_mutant(series._pairs, "if j >= i:", "if j > i:")
     mutate(series, "_pairs", mutant)
     assert tiny_failures("sun", tmp_path, capsys)[0] > 0
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 from fractions import Fraction
@@ -286,6 +287,173 @@ def test_value_at_one_is_refreshed_after_each_quotient(monkeypatch):
     assert x.num == a and x.den == {f: 1}
 
 
+# Reference kernels without the shortcuts: every result normalized value
+# by value, every operand coerced, the reduction filtering its factor dict
+# and then updating it in place, 1 / c computed for every leading
+# coefficient and every factor multiset multiplied out.  The kernel must
+# give the same values, value types and order of factors.
+
+def reference_poly_mul(p, q):
+    return LaurentPoly._of(dict(general_product(p, q)))
+
+
+def reference_den_expand(den):
+    out = LaurentPoly.one()
+    for f, e in den.items():
+        for _ in range(e):
+            out = reference_poly_mul(out, f)
+    return out
+
+
+def reference_canonical_parts(p):
+    mk = min(p._t)
+    c = p._t[mk]
+    if len(p._t) == 1:
+        return None, mk, c
+    inv = Fraction(1) / c
+    return LaurentPoly._of({k - mk: series._normval(v * inv) for k, v in p._t.items()}), mk, c
+
+
+def reference_make(num, den):
+    den = {f: e for f, e in den.items() if e}
+    if not num._t:
+        return LaurentFraction(LaurentPoly.zero(), {})
+    at_one = sum(num._t.values()) if den else 0
+    for f in list(den):
+        e = den[f]
+        vanishes = not sum(f._t.values())
+        while e > 0:
+            if at_one and vanishes:
+                break
+            qq = series._exact_div(num, f)
+            if qq is None:
+                break
+            num = qq
+            at_one = sum(num._t.values())
+            e -= 1
+        if e:
+            den[f] = e
+        else:
+            del den[f]
+    return LaurentFraction._of(num, den)
+
+
+def reference_sum(terms):
+    terms = [LaurentFraction._coerce(t) for t in terms]
+    terms = [t for t in terms if t.num._t]
+    if len(terms) < 2:
+        return terms[0] if terms else LaurentFraction.zero()
+    factors = set(terms[0].den)
+    for t in terms[1:]:
+        factors |= set(t.den)
+    den = {f: max(t.den.get(f, 0) for t in terms) for f in factors}
+    acc: dict = {}
+    for t in terms:
+        missing = {f: e - t.den.get(f, 0) for f, e in den.items() if e > t.den.get(f, 0)}
+        num = reference_poly_mul(t.num, reference_den_expand(missing)) if missing else t.num
+        for k, v in num._t.items():
+            acc[k] = acc.get(k, 0) + v
+    return reference_make(LaurentPoly._of({k: series._normval(v) for k, v in acc.items() if v}),
+                          den)
+
+
+def reference_ratio(num, den):
+    canon, mk, c = reference_canonical_parts(den)
+    num2 = LaurentPoly._of({k - mk: series._normval(v * (Fraction(1) / c))
+                            for k, v in num._t.items()})
+    return reference_make(num2, {canon: 1} if canon is not None else {})
+
+
+def reference_fraction_mul(a, b):
+    den = dict(a.den)
+    for f, e in b.den.items():
+        den[f] = den.get(f, 0) + e
+    return reference_make(reference_poly_mul(a.num, b.num), den)
+
+
+def poly_form(p):
+    return typed(sorted(p._t.items()))
+
+
+def normal_form(x):
+    """A fraction's numerator terms with their types, and its factors in order."""
+    return poly_form(x.num), list(x.den.items())
+
+
+T = mono(1, (1,))
+# overlapping binomials (1 - t^2 divides 1 - t^8, 1 + t^4 divides it too),
+# factors that do and do not vanish at t = 1, one with a non-unit
+# coefficient, a trinomial that is never divided and one on two axes
+NF_FACTORS = [1 - T ** 2, 1 - T ** 8, 1 + T ** 4, 1 - T ** 4, 1 - T, 1 + T,
+              1 + mono(2, (1,)), 1 + T + T ** 2, 1 - mono(1, (1, 1))]
+
+
+def nf_coefficients():
+    return st.one_of(st.integers(-4, 4).filter(bool),
+                     st.fractions(-3, 3, max_denominator=4).filter(bool))
+
+
+@st.composite
+def nf_polys(draw, min_terms=0):
+    """A polynomial in t (and sometimes s) with int and Fraction coefficients,
+    times a product of up to three factors from NF_FACTORS, so that
+    reductions find factors to divide out; its leading coefficient is a
+    unit +-1 or not."""
+    keys = st.tuples(st.integers(-3, 3), st.integers(0, 1))
+    terms = draw(st.dictionaries(keys, nf_coefficients(), min_size=min_terms, max_size=3))
+    p = LaurentPoly(terms)
+    for f in draw(st.lists(st.sampled_from(NF_FACTORS), max_size=3)):
+        p = p * f
+    if p._t and draw(st.booleans()):
+        # make the least term a unit
+        lead = p._t[p.min_key()]
+        p = p.scale(Fraction(draw(st.sampled_from([1, -1]))) / lead)
+    return p
+
+
+@st.composite
+def nf_dens(draw):
+    """A factor multiset from NF_FACTORS in any order, exponents 1 to 3."""
+    fs = draw(st.lists(st.sampled_from(NF_FACTORS), unique=True, max_size=4))
+    return {series._canonical_parts(f)[0]: draw(st.integers(1, 3)) for f in fs}
+
+
+@st.composite
+def nf_terms(draw):
+    """Terms for LaurentFraction.sum: fractions over repeated and overlapping
+    factors, polynomials, ints and Fractions, zeros included."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["fraction", "fraction", "poly", "number", "zero"]))
+        if kind == "fraction":
+            out.append(LaurentFraction(draw(nf_polys()), draw(nf_dens())))
+        elif kind == "poly":
+            out.append(draw(nf_polys()))
+        elif kind == "number":
+            out.append(draw(nf_coefficients()))
+        else:
+            out.append(LaurentFraction.zero())
+    return out
+
+
+@given(nf_polys(), nf_dens(), nf_polys(), nf_polys(min_terms=1), nf_terms())
+@settings(max_examples=200, deadline=None)
+def test_kernel_normal_forms_match_the_reference(num, den, p, q, terms):
+    got = LaurentFraction._make(num, dict(den))
+    assert normal_form(got) == normal_form(reference_make(num, dict(den)))
+    assert normal_form(LaurentFraction.sum(terms)) == normal_form(reference_sum(terms))
+    assert poly_form(p * q) == poly_form(reference_poly_mul(p, q))
+    assert poly_form(q * p) == poly_form(reference_poly_mul(q, p))
+    assert poly_form(series._den_expand(den)) == poly_form(reference_den_expand(den))
+    canon, mk, c = series._canonical_parts(q)
+    want, wmk, wc = reference_canonical_parts(q)
+    assert (mk, c) == (wmk, wc)
+    assert (canon is None and want is None) or poly_form(canon) == poly_form(want)
+    assert normal_form(LaurentFraction.ratio(p, q)) == normal_form(reference_ratio(p, q))
+    x, y = LaurentFraction(num, den), LaurentFraction(q, den)
+    assert normal_form(x * y) == normal_form(reference_fraction_mul(x, y))
+
+
 def test_canonical_factors_are_interned():
     # one object per factor value, hashed as any equal polynomial is, so
     # the lcm's set order, and with it every normal form, is unchanged
@@ -488,6 +656,45 @@ def test_square_drops_a_cancelled_coefficient():
         sq = x * x
         assert (2,) not in sq.c
         assert sq == x * MultiQSeries._of(x.dims, dict(x.c))
+
+
+def reference_pairs(a, b, dims):
+    """_pairs without the room walk: every pair of keys summed and tested
+    against the box."""
+    items = list(a.items())
+    for i, (k1, v1) in enumerate(items):
+        for j, (k2, v2) in enumerate(items[i:] if b is None else b.items()):
+            kk = tuple(x + y for x, y in zip(k1, k2))
+            if not any(s > d for s, d in zip(kk, dims)):
+                yield kk, v1, v2, b is None and j > 0
+
+
+@st.composite
+def pair_cases(draw):
+    """Operands on a box of one to three axes, sparse (a few keys) or dense
+    (every key of a sub-box), in any key order; b is None for a square."""
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    box = list(itertools.product(*(range(d + 1) for d in dims)))
+
+    def operand():
+        if draw(st.booleans()):
+            top = [draw(st.integers(0, d)) for d in dims]
+            keys = [k for k in box if all(x <= t for x, t in zip(k, top))]
+        else:
+            keys = draw(st.lists(st.sampled_from(box), unique=True, max_size=6))
+        return {k: object() for k in draw(st.permutations(keys))}
+
+    a = operand()
+    return a, None if draw(st.booleans()) else operand(), dims
+
+
+@given(pair_cases())
+@settings(max_examples=200, deadline=None)
+def test_room_walk_yields_the_pairs_of_the_box_test(case):
+    a, b, dims = case
+    def pairs(gen):
+        return collections.Counter((kk, id(v1), id(v2), twice) for kk, v1, v2, twice in gen)
+    assert pairs(series._pairs(a, b, dims)) == pairs(reference_pairs(a, b, dims))
 
 
 BINOMIALS = [LaurentPoly({(): 1, (1,): -1}), LaurentPoly({(): 1, (2,): -1}),
