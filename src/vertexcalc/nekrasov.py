@@ -70,7 +70,7 @@ def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
     framing twist: a sign, t**(-2 kappa(mu2) - m (kappa(mu1) + kappa(mu2)))
     and the fiber variable to the power m |mu2|.
     """
-    agg = {b: MultiQSeries((fdeg,)) for b in range(bdeg + 1)}
+    agg: dict = {b: [] for b in range(bdeg + 1)}
     for mu1, mu2 in tuple_sweep(2, bdeg):
         b = weight(mu1) + weight(mu2)
         lhs = _framed_pair_square(mu1, mu2, m, fdeg)
@@ -78,22 +78,21 @@ def verify_su2(m: int, bdeg: int, fdeg: int) -> bool:
                                       (-2 * kappa(mu2) - m * (kappa(mu1) + kappa(mu2)),))
         rhs = sun_square_series((mu1, mu2), (fdeg,)).scale(tw).shift((m * weight(mu2),))
         same(lhs, rhs)
-        agg[b] = agg[b] + rhs
+        agg[b].append(rhs)
     z = z_su2(m, bdeg, fdeg)
     for b in range(bdeg + 1):
         zb = MultiQSeries((fdeg,), {(d,): z.get((b, d)) for d in range(fdeg + 1)})
-        same(zb, agg[b])
+        same(zb, MultiQSeries.sum((fdeg,), agg[b]))
     return True
 
 
 def verify_fiber_swap(bdeg: int, fdeg: int) -> bool:
     """Transposing the second slot leaves each base-degree layer fixed."""
     for b in range(bdeg + 1):
-        plain = MultiQSeries((fdeg,))
-        swapped = MultiQSeries((fdeg,))
-        for mu1, mu2 in pair_layer(b):
-            plain = plain + k_brute_square(mu1, mu2, fdeg)
-            swapped = swapped + k_brute_square(mu1, conjugate(mu2), fdeg)
+        layer = list(pair_layer(b))
+        plain = MultiQSeries.sum((fdeg,), (k_brute_square(mu1, mu2, fdeg) for mu1, mu2 in layer))
+        swapped = MultiQSeries.sum((fdeg,), (k_brute_square(mu1, conjugate(mu2), fdeg)
+                                             for mu1, mu2 in layer))
         same(plain, swapped)
     return True
 

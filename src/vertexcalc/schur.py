@@ -247,7 +247,7 @@ def verify_skew_cauchy(mu, nu, nx: int, ny: int, trunc: int) -> bool:
         = prod_{i,j} (1 - x_i y_j)^(-1) * sum_tau s_{nu/tau}(x) s_{mu/tau}(y)
     """
     wmax = max(weight(mu), weight(nu)) + trunc
-    lhs = MultiQSeries((trunc,))
+    terms = []
     for lam in all_partitions(wmax):
         wl = weight(lam)
         if 2 * wl - weight(mu) - weight(nu) > trunc:
@@ -260,12 +260,11 @@ def verify_skew_cauchy(mu, nu, nx: int, ny: int, trunc: int) -> bool:
         b = skew_schur_poly(lam, nu, trunc, nx, ny)
         if not b.c:
             continue
-        lhs = lhs + a * b
-    rhs = MultiQSeries((trunc,))
-    for tau in common_subpartitions(mu, nu):
-        a = skew_schur_poly(nu, tau, trunc, 0, nx)
-        b = skew_schur_poly(mu, tau, trunc, nx, ny)
-        rhs = rhs + a * b
+        terms.append(a * b)
+    lhs = MultiQSeries.sum((trunc,), terms)
+    rhs = MultiQSeries.sum((trunc,), (skew_schur_poly(nu, tau, trunc, 0, nx)
+                                      * skew_schur_poly(mu, tau, trunc, nx, ny)
+                                      for tau in common_subpartitions(mu, nu)))
     return same(_flat(lhs), _flat(_cauchy_kernel(nx, ny, trunc) * rhs))
 
 
@@ -273,11 +272,14 @@ def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
     """Chain gluing identity for a row of nlegs skew Cauchy kernels.
 
     LHS: sum over partition tuples (nu^1..nu^N) weighted by Q_k^|nu^k|, with
-    adjacent tuples glued through a shared skew shape.  RHS: the product of
-    (1 - Q_k...Q_{l-1} x^k y^{l-1})^(-1) kernels over 1 <= k < l <= N+1.
+    adjacent tuples glued through a shared skew shape, summed by transfer:
+    ends maps each shape nu to the sum of the chains so far that end in nu,
+    and each slot glues every end to every next shape.  RHS: the product
+    of (1 - Q_k...Q_{l-1} x^k y^{l-1})^(-1) kernels over 1 <= k < l <= N+1.
     """
     n = nletters
     nvars = 2 * nlegs * n + nlegs
+    dims = (trunc,)
 
     def xaxis(k: int, i: int) -> int:
         return (k - 1) * n + i
@@ -288,42 +290,33 @@ def verify_chain_sum(nlegs: int, nletters: int, trunc: int) -> bool:
     def qaxis(k: int) -> int:
         return 2 * nlegs * n + k - 1
 
+    def qpart(idx: int, nu) -> MultiQSeries:
+        return MultiQSeries(dims, {(weight(nu),): LaurentPoly.var(qaxis(idx), weight(nu))})
+
     shapes = [p for p in all_partitions(trunc) if len(p) <= n]
-    lhs = MultiQSeries((trunc,))
-    links: dict = {}
-
-    def link_sum(idx: int, prev, nu) -> MultiQSeries:
-        """Glue of slot idx - 1 to slot idx through every shared skew shape."""
-        key = (idx, prev, nu)
-        if key not in links:
-            link = MultiQSeries((trunc,))
-            for eta in common_subpartitions(prev, nu):
-                a = skew_schur_poly(prev, eta, trunc, yaxis(idx - 1, 0), n)
-                b = skew_schur_poly(nu, eta, trunc, xaxis(idx, 0), n)
-                link = link + a * b
-            links[key] = link
-        return links[key]
-
-    def rec(idx: int, chain: list, acc: MultiQSeries):
-        nonlocal lhs
-        if idx > nlegs:
-            lhs = lhs + acc * skew_schur_poly(chain[-1], (), trunc, yaxis(nlegs, 0), n)
-            return
+    ends: dict = {}
+    for nu in shapes:
+        head = schur_poly(nu, trunc, xaxis(1, 0), n)
+        if head.c:
+            ends[nu] = qpart(1, nu) * head
+    for idx in range(2, nlegs + 1):
+        glued: dict = {}
         for nu in shapes:
-            w = weight(nu)
-            qpart = MultiQSeries((trunc,), {(w,): LaurentPoly.var(qaxis(idx), w)})
-            if idx == 1:
-                head = schur_poly(nu, trunc, xaxis(1, 0), n)
-                if head.c:
-                    rec(2, [nu], acc * qpart * head)
-            else:
-                link = link_sum(idx, chain[-1], nu)
+            chains = []
+            for prev, acc in ends.items():
+                link = MultiQSeries.sum(dims, (
+                    skew_schur_poly(prev, eta, trunc, yaxis(idx - 1, 0), n)
+                    * skew_schur_poly(nu, eta, trunc, xaxis(idx, 0), n)
+                    for eta in common_subpartitions(prev, nu)))
                 if link.c:
-                    rec(idx + 1, chain + [nu], acc * qpart * link)
+                    chains.append(acc * link)
+            if chains:
+                glued[nu] = qpart(idx, nu) * MultiQSeries.sum(dims, chains)
+        ends = glued
+    lhs = MultiQSeries.sum(dims, (acc * skew_schur_poly(nu, (), trunc, yaxis(nlegs, 0), n)
+                                  for nu, acc in ends.items()))
 
-    rec(1, [], MultiQSeries.one((trunc,)))
-
-    rhs = MultiQSeries.one((trunc,))
+    rhs = MultiQSeries.one(dims)
     for k in range(1, nlegs + 1):
         for l in range(k + 1, nlegs + 2):
             for i in range(n):

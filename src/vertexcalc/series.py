@@ -40,7 +40,8 @@ The reduction, _make, is one pass over the factor multiset: it builds
 the factors left in the input's order, so each factor is hashed once, and
 a fraction with no denominator comes back at once.
 LaurentFraction.sum brings many terms over one lcm and reduces once, and
-a + b is its two-term case.
+a + b is its two-term case.  MultiQSeries.sum is that path for series,
+one LaurentFraction.sum per key, and series a + b is its two-term case.
 A polynomial product or sum turns Fraction values of denominator 1 into
 ints only when a Fraction is among its values; int arithmetic gives ints.
 Scaling by a number, and a product with a one-term polynomial, keep int
@@ -906,18 +907,27 @@ class MultiQSeries:
         if self.dims != other.dims:
             raise ValueError("dims differ")
 
+    @classmethod
+    def sum(cls, dims, terms: Iterable["MultiQSeries"]):
+        """Sum of series on the box dims: each key's coefficients over all
+        the terms go to one LaurentFraction.sum, the keys in the order they
+        first appear, and a key whose sum is zero is dropped."""
+        dims = tuple(dims)
+        parts: dict = {}
+        for s in terms:
+            if not isinstance(s, MultiQSeries):
+                raise TypeError("MultiQSeries.sum takes series")
+            if s.dims != dims:
+                raise ValueError("dims differ")
+            for k, v in s.c.items():
+                parts.setdefault(k, []).append(v)
+        out = {k: LaurentFraction.sum(vs) for k, vs in parts.items()}
+        return MultiQSeries._of(dims, {k: v for k, v in out.items() if v})
+
     def __add__(self, other):
         if not isinstance(other, MultiQSeries):
             return NotImplemented
-        self._check(other)
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out[k] + v if k in out else v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return MultiQSeries._of(self.dims, out)
+        return MultiQSeries.sum(self.dims, (self, other))
 
     def __sub__(self, other):
         if not isinstance(other, MultiQSeries):
@@ -1275,19 +1285,13 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
 
 
 class QSeries(MultiQSeries):
-    """One-axis series from a dense coefficient list: coeffs[d] is the Q**d term.
+    """Retired: one-axis series are MultiQSeries with dims (trunc,).
 
-    Only a constructor.  The name stays because perfbench/tracer.py looks
-    it up on this module.
+    No methods.  The name stays because perfbench/tracer.py looks it up
+    on this module.
     """
 
     __slots__ = ()
-
-    def __init__(self, trunc: int, coeffs: Iterable = ()):
-        cc = list(coeffs)
-        if len(cc) > trunc + 1:
-            raise ValueError("more coefficients than the truncation order allows")
-        super().__init__((trunc,), {(d,): c for d, c in enumerate(cc)})
 
 
 class MultiPoly:

@@ -113,6 +113,22 @@ def test_no_division_is_walked_that_evaluation_at_one_rules_out(monkeypatch, tmp
     assert [w for w in walks if w[0] and not w[1]] == []
 
 
+def test_no_check_adds_series_pairwise(monkeypatch, tmp_path, capsys):
+    # every sum of series is one MultiQSeries.sum; + is only its two-term case
+    calls = []
+    add = series.MultiQSeries.__add__
+
+    def counted(a, b):
+        calls.append(a.dims)
+        return add(a, b)
+
+    monkeypatch.setattr(series.MultiQSeries, "__add__", counted)
+    clear_memo_tables()
+    assert main(["verify", "all", *TINY_SIZES, "--json", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_division_without_top_key_test_is_caught(mutate, capsys):
     mutant = source_mutant(series._exact_div,
                            "        if cs[hi] != v * acc:\n            return None\n", "")
@@ -274,14 +290,23 @@ def test_cauchy_kernel_missing_one_factor_is_caught(mutate, tmp_path, capsys):
     assert {e["id"] for e in doc["entries"] if e["status"] == "fail"} == {"skew-cauchy"}
 
 
-def test_chain_links_shared_across_slots_are_caught(mutate, tmp_path, capsys):
-    # a link sum kept per (prev, nu) is reused on the axes of another slot
-    mutant = source_mutant(schur.verify_chain_sum, "key = (idx, prev, nu)", "key = (prev, nu)")
+def test_chain_links_glued_on_another_slots_axes_are_caught(mutate, tmp_path, capsys):
+    # every link reads its y letters from slot 1, not from the slot before
+    # it; at two legs that slot is slot 1 anyway, so only three legs fail
+    mutant = source_mutant(schur.verify_chain_sum, "yaxis(idx - 1, 0)", "yaxis(1, 0)")
     mutate(schur, "verify_chain_sum", mutant)
     assert tiny_failures("schur", tmp_path, capsys)[0] > 0
     doc = json.loads((tmp_path / "report.json").read_text())
     failing = [(e["id"], e["instance"]) for e in doc["entries"] if e["status"] == "fail"]
     assert failing == [("cyclic-chain-sum", "legs=3 order=4")]
+
+
+def test_series_sum_keeping_each_keys_first_term_is_caught(mutate, tmp_path, capsys):
+    mutant = source_mutant(series.MultiQSeries.sum, "LaurentFraction.sum(vs)",
+                           "LaurentFraction.sum(vs[:1])")
+    mutate(series.MultiQSeries, "sum", mutant)
+    assert tiny_failures("nekrasov-su2", tmp_path, capsys)[0] > 0
+    assert tiny_failures("schur", tmp_path, capsys)[0] > 0
 
 
 def test_ktilde_brute_missing_a_chain_tuple_is_caught(mutate, tmp_path, capsys):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from vertexcalc import ksum, series
 from vertexcalc.cli import main
 from vertexcalc.suites import SUITE_ORDER
 
@@ -60,3 +61,28 @@ def test_tiny_verify_report_matches_pin_with_warm_memo_tables(tmp_path, capsys):
     for suite in reversed(SUITE_ORDER):
         assert main(["verify", suite, *TINY_SIZES.split()]) == 0
     assert_verify_report_matches_pin(TINY_VERIFY, tmp_path, capsys)
+
+
+def test_tiny_verify_report_matches_pin_after_the_interned_factors_are_cleared(
+        monkeypatch, tmp_path, capsys):
+    # The comparison keys factors by id.  With the interned factors cleared
+    # while warm tables still hold the old objects, one factor can reach a
+    # comparison as two objects; it then enters the common multiset twice,
+    # on both sides, so only the ints grow and the verdicts stay exact.
+    assert_verify_report_matches_pin(TINY_VERIFY, tmp_path, capsys)
+    for table in (series._FACTOR_CACHE, ksum._KT_CACHE, ksum._SPAIR_CACHE, ksum._GAUGE_CACHE):
+        table.clear()
+    mixed = []
+    cross_equal = series._cross_equal
+
+    def counted(a, b):
+        ids: dict = {}
+        for scalar, cols, _ in (a, b):
+            for f in [*scalar.den, *(f for c in cols for v in c.values() for f in v.den)]:
+                ids.setdefault(f, set()).add(id(f))
+        mixed.append(any(len(s) > 1 for s in ids.values()))
+        return cross_equal(a, b)
+
+    monkeypatch.setattr(series, "_cross_equal", counted)
+    assert_verify_report_matches_pin(TINY_VERIFY, tmp_path, capsys)
+    assert any(mixed)

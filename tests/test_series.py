@@ -10,7 +10,7 @@ from vertexcalc import series
 from vertexcalc.partitions import normalize
 from vertexcalc.prodred import bracket
 from vertexcalc.series import (EXP_LIMIT, LaurentFraction, LaurentPoly, Mismatch,
-                               MultiQSeries, Product, QSeries, expand_in_q,
+                               MultiQSeries, Product, expand_in_q,
                                expand_in_q_multi, fraction_json, memo,
                                multiqseries_json, pack, poly_terms_json,
                                qseries_json, same, unpack)
@@ -614,9 +614,71 @@ def test_multiqseries_box_products():
     p = (one + x) * (one + y)
     assert p.get((1, 1)) == 1 and p.get((2, 2)) == 0
     assert (x * x * x).get((2, 0)) == 0  # overflow drops out of the box
-    single = QSeries(3, [1, 0, 5])
-    assert [single.get((d,)) for d in range(4)] == [1, 0, 5, 0]
-    assert single == MultiQSeries((3,), {(0,): 1, (2,): 5})
+
+
+def merge_add(a, b):
+    """Series addition as a merge loop: the reference for a two-term sum."""
+    if a.dims != b.dims:
+        raise ValueError("dims differ")
+    out = dict(a.c)
+    for k, v in b.c.items():
+        w = out[k] + v if k in out else v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return MultiQSeries._of(a.dims, out)
+
+
+@st.composite
+def series_sums(draw):
+    """Up to five series on one box, their coefficients over one shared
+    binomial, over the overlapping 1 - t^2 and 1 - t^4, or over distinct
+    binomials; sometimes the last term cancels the first."""
+    dims = draw(st.sampled_from([(2,), (1, 2)]))
+    # k > 0 stands for 1 - t^k and k < 0 for 1 + t^-k
+    pool = draw(st.sampled_from([[2], [2, 4], [1, -1, 3, -2]]))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        c = {}
+        for key in draw(st.lists(st.tuples(*(st.integers(0, d) for d in dims)), max_size=4)):
+            num = mono(draw(st.integers(-3, 3).filter(bool)), (draw(st.integers(-2, 2)),))
+            k = draw(st.sampled_from(pool))
+            den = LaurentPoly.one() + mono(-1 if k > 0 else 1, (abs(k),))
+            c[key] = LaurentFraction.ratio(num, den)
+        terms.append(MultiQSeries(dims, c))
+    if terms and draw(st.booleans()):
+        terms.append(terms[0].scale(-1))
+    return dims, terms
+
+
+@given(series_sums())
+@settings(max_examples=80, deadline=None)
+def test_series_sum_is_the_merge_addition(case):
+    dims, terms = case
+    for a, b in zip(terms, terms[1:]):
+        got, want = MultiQSeries.sum(dims, (a, b)), merge_add(a, b)
+        assert list(got.c) == list(want.c)
+        for k, v in want.c.items():
+            assert got.c[k].num._t == v.num._t
+            assert list(got.c[k].den.items()) == list(v.den.items())
+    fold = MultiQSeries(dims)
+    for s in terms:
+        fold = merge_add(fold, s)
+    assert MultiQSeries.sum(dims, terms) == fold
+
+
+def test_series_sum_edges():
+    x = MultiQSeries((2,), {(1,): 3})
+    assert MultiQSeries.sum((2,), []).c == {}
+    assert MultiQSeries.sum([2], iter([])).dims == (2,)
+    assert MultiQSeries.sum((2,), [x, x.scale(-1)]).c == {}
+    with pytest.raises(ValueError):
+        MultiQSeries.sum((2,), [x, MultiQSeries((3,))])
+    with pytest.raises(ValueError):
+        MultiQSeries.sum((3,), [x])
+    with pytest.raises(TypeError):
+        MultiQSeries.sum((2,), [x, 1])
 
 
 @st.composite
