@@ -84,9 +84,9 @@ def _join_terms(terms) -> str:
 
 
 def poly_str(p: LaurentPoly, units: str) -> str:
-    if not p.d:
+    if not p:
         return "0"
-    naxes = max(max((len(k) for k in p.d), default=1), 1)
+    naxes = max(p.nvars, 1)
     return _join_terms([_term_str(c, _mono_str(k, units, naxes))
                         for k, c in reversed(p.terms())])
 

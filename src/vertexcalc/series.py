@@ -48,15 +48,17 @@ Scaling by a number, and a product with a one-term polynomial, keep int
 coefficients in ints: an int v times p/q is (v * p) // q when q divides
 v * p, and a Fraction only when it does not, so a scalar such as 1/2**k
 costs no Fraction arithmetic on an int coefficient.  a / b by a divisor
-whose numerator is one term, c * X**k / D, works on the factor
-multisets: D's factors are taken off a's denominator, and only those a
-lacks are expanded into the numerator before one reduction.  That
-normal form may differ from the one a * b.inv() reaches, so a value
-that is rendered is built with * inv(), not with /.
-One enumerator, _pairs, yields the pairs of keys of two series whose sum
-lies in the box.  For each key of the left operand it walks only the
-room that key leaves in the box, read from a table kept per key and box,
-and looks each key of the room up in the right operand.  Squaring by
+whose numerator is one term, c * X**k / D, with every factor of D in
+a's denominator, works on the factor multisets: D's factors are taken
+off a's denominator before one reduction.  That normal form may differ
+from the one a * b.inv() reaches, so a value that is rendered is built
+with * inv(), not with /; any other divisor goes through a * b.inv().
+The box is walked in one place, _room, a memo table of the keys a key
+leaves room for in a box, in itertools.product order.  One enumerator,
+_pairs, yields the pairs of keys of two series whose sum lies in the
+box: for each key of the left operand it walks that key's room and
+looks each key of the room up in the right operand; MultiQSeries.exp
+walks the room of the origin.  Squaring by
 symmetry lives there too: for x * x it yields each unordered pair of
 keys once and marks the off-diagonal ones, whose products are doubled.
 MultiQSeries * and the packed product in _cross_equal both loop over it.
@@ -65,10 +67,12 @@ right operand's order; each key's parts still come in the left
 operand's key order, as the right key that completes a pair is unique.
 
 Canonical factors are interned: _canonical_parts and LaurentFraction's
-constructor hand out one shared object per factor value, so a factor
-multiset finds a factor by identity instead of comparing its terms.
-Hash and equality stay those of any equal polynomial, so set and dict
-orders over factors, and with them every normal form, do not change.
+constructor hand out one shared object per factor value, the first that
+the memo table _FACTOR_CACHE stored, so a factor multiset finds a factor
+by identity instead of comparing its terms.  Hash and equality stay
+those of any equal polynomial, so set and dict orders over factors, and
+with them every normal form, do not change.  Every factor multiset,
+the packed comparison's included, is a dict keyed by the factor itself.
 
 Product(*factors, scalar=None) is a product of series left unevaluated.
 Its value() is the normal form (the factors multiplied left to right,
@@ -236,7 +240,7 @@ def _power(x, n: int, one):
 class LaurentPoly:
     """Sparse Laurent polynomial with packed int exponent keys and exact coefficients."""
 
-    __slots__ = ("_t", "_h", "_d", "_k")
+    __slots__ = ("_t", "_h", "_k")
 
     def __init__(self, d: Mapping | None = None):
         dd = {}
@@ -246,16 +250,12 @@ class LaurentPoly:
                 if v:
                     dd[pack(k)] = v
         self._t = dd
-        self._h = None
-        self._d = None
 
     @classmethod
     def _of(cls, t: dict):
         """Adopt t as the term dict: packed keys, values nonzero and normalized."""
         r = cls.__new__(cls)
         r._t = t
-        r._h = None
-        r._d = None
         return r
 
     @classmethod
@@ -280,10 +280,9 @@ class LaurentPoly:
 
     @property
     def d(self) -> Mapping:
-        """Read-only view of the terms keyed by exponent tuples, for boundary code."""
-        if self._d is None:
-            self._d = {unpack(k): v for k, v in self._t.items()}
-        return MappingProxyType(self._d)
+        """Read-only view of the terms keyed by exponent tuples, for boundary
+        code; decoded on each read."""
+        return MappingProxyType({unpack(k): v for k, v in self._t.items()})
 
     @property
     def nvars(self) -> int:
@@ -424,11 +423,15 @@ class LaurentPoly:
         return self._t == o._t
 
     def __hash__(self):
-        if self._h is None:
-            if self._t.keys() <= {0}:
-                self._h = hash(self._t.get(0, 0))  # equal to a number, so hash as one
-            else:
-                self._h = hash(frozenset(self.d.items()))
+        """Computed once and kept in the _h slot."""
+        try:
+            return self._h
+        except AttributeError:
+            pass
+        if self._t.keys() <= {0}:
+            self._h = hash(self._t.get(0, 0))  # equal to a number, so hash as one
+        else:
+            self._h = hash(frozenset((unpack(k), v) for k, v in self._t.items()))
         return self._h
 
     def __repr__(self):
@@ -443,19 +446,16 @@ class LaurentPoly:
 _FACTOR_CACHE: dict = {}
 
 
+@memo(_FACTOR_CACHE)
 def _interned(f: LaurentPoly) -> LaurentPoly:
-    """The one shared object of the canonical factor f's value.
+    """The one shared object of the canonical factor f's value: the first
+    one memo stored.
 
     Factor multisets then find a factor by identity, without comparing
     terms.  Hash and equality are those of any equal polynomial, so set
     and dict orders over factors do not change.
     """
-    g = _FACTOR_CACHE.get(f)
-    if g is None:
-        g = f
-        if len(_FACTOR_CACHE) < CACHE_LIMIT:
-            _FACTOR_CACHE[f] = f
-    return g
+    return f
 
 
 def _canonical_parts(p: LaurentPoly):
@@ -701,29 +701,24 @@ class LaurentFraction:
         return LaurentFraction.ratio(_den_expand(self.den), self.num)
 
     def __truediv__(self, other):
-        """self / other; a divisor c * X**k / D is divided in factored form:
-        D's factors are taken off self's, and only those self lacks are
-        expanded into the numerator, shifted and scaled by 1 / (c * X**k)."""
+        """self / other; a divisor c * X**k / D whose factors self's
+        denominator all holds is divided in factored form: D's factors are
+        taken off self's, and the numerator is shifted and scaled by
+        1 / (c * X**k).  Any other divisor goes through self * other.inv()."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(o.num._t) != 1:
+        if len(o.num._t) != 1 or _lacks(self.den, o.den):
             return self * o.inv()
         (k, c), = o.num._t.items()
         den = dict(self.den)
-        rest = {}
         for f, e in o.den.items():
             left = den.get(f, 0) - e
-            if left > 0:
+            if left:
                 den[f] = left
             else:
-                den.pop(f, None)
-                if left:
-                    rest[f] = -left
-        num = LaurentPoly._of(_scaled(self.num._t, _inverse(c), -k))
-        if rest:
-            num = num * _den_expand(rest)
-        return LaurentFraction._make(num, den)
+                del den[f]
+        return LaurentFraction._make(LaurentPoly._of(_scaled(self.num._t, _inverse(c), -k)), den)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -834,14 +829,20 @@ def _uni(p: LaurentPoly) -> dict[int, object]:
 _ROOM_CACHE: dict = {}
 
 
+@memo(_ROOM_CACHE)
+def _room(key: tuple, dims: tuple) -> list:
+    """The room key leaves in the box dims: a (k2, key + k2) row for each
+    k2 >= 0 whose sum with key stays inside, in itertools.product order."""
+    return [(k2, tuple(x + y for x, y in zip(key, k2)))
+            for k2 in itertools.product(*(range(d - x + 1) for x, d in zip(key, dims)))]
+
+
 def _pairs(a: Mapping, b: Mapping | None, dims):
     """(summed key, value in a, value in b, twice) for each pair of keys of
     a and b whose sum lies in the box dims, a's keys outermost.
 
-    For each key of a it walks only the room that key leaves in the box,
-    the keys k2 >= 0 whose sum with it stays inside, in itertools.product
-    order, and looks each up in b.  The room of a key in a box, with each
-    k2's summed key, is built once and kept in _ROOM_CACHE.
+    For each key of a it walks only the _room that key leaves in the box
+    and looks each of the room's keys up in b.
 
     With b None it squares a: each unordered pair of keys is yielded once,
     its first value that of the key a lists first, and twice is set off
@@ -851,12 +852,7 @@ def _pairs(a: Mapping, b: Mapping | None, dims):
     if square:
         order = {k: i for i, k in enumerate(a)}
     for i, (k1, v1) in enumerate(a.items()):
-        room = _ROOM_CACHE.get((k1, dims))
-        if room is None:
-            room = [(k2, tuple(x + y for x, y in zip(k1, k2)))
-                    for k2 in itertools.product(*(range(d - x + 1) for x, d in zip(k1, dims)))]
-            if len(_ROOM_CACHE) < CACHE_LIMIT:
-                _ROOM_CACHE[k1, dims] = room
+        room = _room(k1, dims)
         if square:
             for k2, kk in room:
                 j = order.get(k2, -1)
@@ -972,7 +968,7 @@ class MultiQSeries:
             raise ValueError("exp needs zero constant term")
         terms = [(j, a.scale(sum(j))) for j, a in sorted(self.c.items())]
         e: dict = {origin: LaurentFraction.one()}
-        for k in itertools.product(*(range(d + 1) for d in self.dims)):
+        for k, _ in _room(origin, self.dims):
             if k == origin:
                 continue
             parts = []
@@ -1076,7 +1072,7 @@ _Packing = namedtuple("_Packing", "ints clear norm peak lo gcd units")
 _Entry = namedtuple("_Entry", "parts clear norm peak lo")
 
 # A coefficient dict over one factor multiset: top is that multiset, D_i,
-# as {id(factor): exponent}; entries maps id(v) to the _Entry of v's
+# as {factor: exponent}; entries maps id(v) to the _Entry of v's
 # numerator times the factors of D_i that v lacks; clear is the lcm of
 # their clears, norm the sum of their L1 bounds at the scale clear, and
 # ref the least exponent of the first entry, which the others' are
@@ -1131,23 +1127,21 @@ def _entry(parts: list) -> _Entry:
     return _Entry(parts, clear, norm, norm // first.norm * first.peak if norm else 0, lo)
 
 
-def _column(c: dict, factors: dict) -> _Column:
-    """The _Column of the coefficient dict c; each denominator factor it
-    meets is entered in factors under its id."""
+def _column(c: dict) -> _Column:
+    """The _Column of the coefficient dict c."""
     top: dict = {}
     for v in c.values():
         for f, e in v.den.items():
-            if e > top.get(id(f), 0):
-                top[id(f)] = e
-                factors[id(f)] = f
-    packings = {k: _packing(factors[k]) for k in top}
+            if e > top.get(f, 0):
+                top[f] = e
+    packings = {f: _packing(f) for f in top}
     entries = {}
     for v in c.values():
         lack = dict(top)
         for f, e in v.den.items():
-            lack[id(f)] -= e
+            lack[f] -= e
         entries[id(v)] = _entry([(_packing(v.num), 1)]
-                                + [(packings[k], e) for k, e in lack.items() if e])
+                                + [(packings[f], e) for f, e in lack.items() if e])
     if not entries:
         # an empty series is zero, of norm 0
         return _Column(top, entries, 1, 0, 0)
@@ -1197,32 +1191,28 @@ def _cross_equal(a: tuple, b: tuple) -> bool:
     own multiple of w as bit offset, so the lowest nonzero coefficient of
     a nonzero difference would be a multiple of 2**w.
     """
-    factors: dict = {}
     columns: dict = {}
     dens = []
     for scalar, cols, _ in (a, b):
-        den: dict = {}
-        for f, e in scalar.den.items():
-            den[id(f)] = e
-            factors[id(f)] = f
+        den = dict(scalar.den)
         for c in cols:
             col = columns.get(id(c))
             if col is None:
-                col = columns[id(c)] = _column(c, factors)
-            for k, e in col.top.items():
-                den[k] = den.get(k, 0) + e
+                col = columns[id(c)] = _column(c)
+            for f, e in col.top.items():
+                den[f] = den.get(f, 0) + e
         dens.append(den)
     top = dict(dens[0])
-    for k, e in dens[1].items():
-        if e > top.get(k, 0):
-            top[k] = e
+    for f, e in dens[1].items():
+        if e > top.get(f, 0):
+            top[f] = e
     # every factor is packed, so an s exponent in any of them raises
-    packings = {k: _packing(f) for k, f in factors.items()}
+    packings = {f: _packing(f) for f in top}
     sides = []
     for (scalar, cols, dims), den in zip((a, b), dens):
-        const = _entry([(_packing(scalar.num), 1)] + [(packings[k], e - den.get(k, 0))
-                                                      for k, e in top.items()
-                                                      if e > den.get(k, 0)])
+        const = _entry([(_packing(scalar.num), 1)] + [(packings[f], e - den.get(f, 0))
+                                                      for f, e in top.items()
+                                                      if e > den.get(f, 0)])
         scale, bound, ref = const.clear, const.peak, const.lo
         for c in cols:
             col = columns[id(c)]

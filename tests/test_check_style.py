@@ -133,6 +133,23 @@ def test_memo_tables_are_module_dicts_named_cache():
     assert offenders == []
 
 
+def test_every_cache_dict_is_the_table_of_one_memo_function():
+    # series.memo is the one code that fills a table and reads CACHE_LIMIT,
+    # so no *_CACHE dict is filled by hand or shared by two functions
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        users: dict = {}
+        for node, dec in memo_decorators(tree):
+            for arg in dec.args:
+                if isinstance(arg, ast.Name):
+                    users.setdefault(arg.id, []).append(node.name)
+        for name in sorted(module_dicts(tree)):
+            if name.endswith("_CACHE") and len(users.get(name, [])) != 1:
+                offenders.append(f"{path.name}:{name}")
+    assert offenders == []
+
+
 def test_memo_functions_are_called_with_positional_arguments_only():
     # series.memo's wrapper takes *args alone, so one_minus_qq(m, shift=s)
     # would raise TypeError; a defaulted argument is passed positionally
@@ -168,8 +185,8 @@ def zips_dims(node) -> bool:
 
 
 def test_one_loop_enumerates_in_box_key_pairs():
-    # series._pairs is the one place that adds two keys and tests the sum
-    # against the box, so a box-bounded enumeration changes in one place
+    # series._room is the one place that adds two keys and bounds the sum
+    # by the box, so a box-bounded enumeration changes in one place
     tree = ast.parse((SRC / "series.py").read_text())
     found = set()
     for fn in ast.walk(tree):
@@ -177,7 +194,7 @@ def test_one_loop_enumerates_in_box_key_pairs():
             nodes = list(ast.walk(fn))
             if any(map(summed_key, nodes)) and any(map(zips_dims, nodes)):
                 found.add(fn.name)
-    assert found == {"_pairs"}
+    assert found == {"_room"}
 
 
 def functions(tree, prefix=""):

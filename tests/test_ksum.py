@@ -236,6 +236,27 @@ def test_factor_builders_are_memoized(fn, table_name, args, monkeypatch):
     assert_memoized(fn, table_name, args, monkeypatch)
 
 
+def test_rooms_are_memoized(monkeypatch):
+    assert_memoized(series._room, "_ROOM_CACHE", ((1, 0), (3, 2)), monkeypatch)
+    assert series._room((1, 0), (3, 2)) == [
+        ((x, y), (1 + x, y)) for x, y in itertools.product(range(3), range(3))]
+
+
+def test_interned_factors_are_memoized(monkeypatch):
+    # _interned hands back its argument on a miss, so each step passes an
+    # equal factor that is another object
+    t = LaurentPoly.var(0)
+    f, g = 1 - t ** 11, 1 - t ** 11
+    first = series._interned(f)
+    assert series._interned(g) is first
+    assert series._FACTOR_CACHE[(g,)] is first
+    del series._FACTOR_CACHE[(g,)]
+    with monkeypatch.context() as m:
+        m.setattr(series, "CACHE_LIMIT", len(series._FACTOR_CACHE))
+        again = series._interned(g)
+    assert again == first and again is not first and (g,) not in series._FACTOR_CACHE
+
+
 def _expand_per_cell(fr, dims):
     """The earlier expand_in_q_multi, kept as the reference: every partial
     cell sum is reduced as a LaurentFraction after each binomial."""

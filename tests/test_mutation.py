@@ -334,6 +334,18 @@ def test_lazy_square_without_doubled_cross_terms_is_caught(mutate, tmp_path, cap
     assert "squared-chain-rank3" in {e["id"] for e in doc["entries"] if e["status"] == "fail"}
 
 
+def test_room_one_short_on_every_axis_is_caught(mutate, tmp_path, capsys):
+    # each room loses its top key on every axis: exp never fills the far
+    # edges of the box, and no pair reaches them.  A check whose sides are
+    # all products and exps sees the same smaller box on both (tiny sun
+    # passes), so the failing ones hold a series built without either:
+    # k_brute against exp's k00 in k, ktilde_brute against products in kgen
+    mutant = source_mutant(series._room, "range(d - x + 1)", "range(d - x)")
+    mutate(series, "_room", mutant)
+    assert tiny_failures("k", tmp_path, capsys)[0] > 0
+    assert tiny_failures("kgen", tmp_path, capsys)[0] > 0
+
+
 def test_pair_enumerator_without_the_diagonal_is_caught(mutate, tmp_path, capsys):
     # a square loses every product of a key with itself
     mutant = source_mutant(series._pairs, "if j >= i:", "if j > i:")

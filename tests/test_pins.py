@@ -65,10 +65,10 @@ def test_tiny_verify_report_matches_pin_with_warm_memo_tables(tmp_path, capsys):
 
 def test_tiny_verify_report_matches_pin_after_the_interned_factors_are_cleared(
         monkeypatch, tmp_path, capsys):
-    # The comparison keys factors by id.  With the interned factors cleared
-    # while warm tables still hold the old objects, one factor can reach a
-    # comparison as two objects; it then enters the common multiset twice,
-    # on both sides, so only the ints grow and the verdicts stay exact.
+    # The comparison keys factors by value.  With the interned factors
+    # cleared while warm tables still hold the old objects, one factor can
+    # reach a comparison as two objects; they are equal, so they merge
+    # into one entry of the common multiset and the verdicts stay exact.
     assert_verify_report_matches_pin(TINY_VERIFY, tmp_path, capsys)
     for table in (series._FACTOR_CACHE, ksum._KT_CACHE, ksum._SPAIR_CACHE, ksum._GAUGE_CACHE):
         table.clear()
